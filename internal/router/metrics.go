@@ -122,14 +122,14 @@ func (m *Metrics) Prometheus(health []replicaHealth) string {
 		time.Since(m.start).Seconds())
 
 	e.CounterFamily("tcr_requests_total", "Requests accepted for routing, by endpoint.")
+	e.Sample("tcr_requests_total", []obsv.Label{{Name: "endpoint", Value: "arc"}},
+		float64(m.ArcWrites.Load()))
+	e.Sample("tcr_requests_total", []obsv.Label{{Name: "endpoint", Value: "plan"}},
+		float64(m.Plans.Load()))
 	e.Sample("tcr_requests_total", []obsv.Label{{Name: "endpoint", Value: "query"}},
 		float64(m.Queries.Load()))
 	e.Sample("tcr_requests_total", []obsv.Label{{Name: "endpoint", Value: "reach"}},
 		float64(m.Reaches.Load()))
-	e.Sample("tcr_requests_total", []obsv.Label{{Name: "endpoint", Value: "plan"}},
-		float64(m.Plans.Load()))
-	e.Sample("tcr_requests_total", []obsv.Label{{Name: "endpoint", Value: "arc"}},
-		float64(m.ArcWrites.Load()))
 
 	e.Counter("tcr_errors_total", "Requests failed at the router after retries.",
 		float64(m.Errors.Load()))

@@ -244,14 +244,14 @@ func (m *Metrics) Prometheus(queueDepth, queueCap int, ix IndexState, tenants ..
 		time.Since(m.start).Seconds())
 
 	e.CounterFamily("tc_requests_total", "Requests accepted for processing, by endpoint.")
+	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "arc"}},
+		float64(m.ArcWrites.Load()))
+	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "plan"}},
+		float64(m.Plans.Load()))
 	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "query"}},
 		float64(m.Queries.Load()))
 	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "reach"}},
 		float64(m.Reaches.Load()))
-	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "plan"}},
-		float64(m.Plans.Load()))
-	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "arc"}},
-		float64(m.ArcWrites.Load()))
 
 	e.Counter("tc_cache_hits_total", "Queries answered from the result cache.",
 		float64(m.CacheHits.Load()))
@@ -325,57 +325,64 @@ func (m *Metrics) Prometheus(queueDepth, queueCap int, ix IndexState, tenants ..
 		e.CounterFamily("tc_tenant_requests_total",
 			"Requests accepted for processing, by tenant and endpoint.")
 		for _, t := range tenants {
+			e.Sample("tc_tenant_requests_total", te(t.Name, "plan"), float64(t.Plans))
 			e.Sample("tc_tenant_requests_total", te(t.Name, "query"), float64(t.Queries))
 			e.Sample("tc_tenant_requests_total", te(t.Name, "reach"), float64(t.Reaches))
-			e.Sample("tc_tenant_requests_total", te(t.Name, "plan"), float64(t.Plans))
 		}
-		e.CounterFamily("tc_tenant_cache_hits_total",
-			"Queries answered from the tenant's result cache.")
-		e.CounterFamily("tc_tenant_cache_misses_total",
-			"Tenant queries executed by the engine.")
-		e.CounterFamily("tc_tenant_rejected_total",
-			"Tenant requests rejected with 429 by admission control.")
-		e.CounterFamily("tc_tenant_pages_served_total",
-			"Page I/O performed by the tenant's executed queries.")
-		for _, t := range tenants {
-			e.Sample("tc_tenant_cache_hits_total", tl(t.Name), float64(t.CacheHits))
-			e.Sample("tc_tenant_cache_misses_total", tl(t.Name), float64(t.CacheMisses))
-			e.Sample("tc_tenant_rejected_total", tl(t.Name), float64(t.Rejected))
-			e.Sample("tc_tenant_pages_served_total", tl(t.Name), float64(t.PagesServed))
+		// One family at a time: the text format wants a family's samples in
+		// one group under its HELP/TYPE lines.
+		perTenant := func(typ func(name, help string), name, help string, v func(TenantState) float64) {
+			typ(name, help)
+			for _, t := range tenants {
+				e.Sample(name, tl(t.Name), v(t))
+			}
 		}
-		e.GaugeFamily("tc_tenant_cache_entries", "Entries in the tenant's result cache.")
-		e.GaugeFamily("tc_tenant_cache_capacity", "Capacity of the tenant's result cache (its quota).")
-		e.GaugeFamily("tc_tenant_queue_depth", "Jobs waiting in the tenant's admission queue.")
-		for _, t := range tenants {
-			e.Sample("tc_tenant_cache_entries", tl(t.Name), float64(t.CacheLen))
-			e.Sample("tc_tenant_cache_capacity", tl(t.Name), float64(t.CacheCap))
-			e.Sample("tc_tenant_queue_depth", tl(t.Name), float64(t.QueueDepth))
-		}
+		perTenant(e.CounterFamily, "tc_tenant_cache_hits_total",
+			"Queries answered from the tenant's result cache.",
+			func(t TenantState) float64 { return float64(t.CacheHits) })
+		perTenant(e.CounterFamily, "tc_tenant_cache_misses_total",
+			"Tenant queries executed by the engine.",
+			func(t TenantState) float64 { return float64(t.CacheMisses) })
+		perTenant(e.CounterFamily, "tc_tenant_rejected_total",
+			"Tenant requests rejected with 429 by admission control.",
+			func(t TenantState) float64 { return float64(t.Rejected) })
+		perTenant(e.CounterFamily, "tc_tenant_pages_served_total",
+			"Page I/O performed by the tenant's executed queries.",
+			func(t TenantState) float64 { return float64(t.PagesServed) })
+		perTenant(e.GaugeFamily, "tc_tenant_cache_entries", "Entries in the tenant's result cache.",
+			func(t TenantState) float64 { return float64(t.CacheLen) })
+		perTenant(e.GaugeFamily, "tc_tenant_cache_capacity", "Capacity of the tenant's result cache (its quota).",
+			func(t TenantState) float64 { return float64(t.CacheCap) })
+		perTenant(e.GaugeFamily, "tc_tenant_queue_depth", "Jobs waiting in the tenant's admission queue.",
+			func(t TenantState) float64 { return float64(t.QueueDepth) })
 		adaptive := false
 		for _, t := range tenants {
 			adaptive = adaptive || t.Adaptive
 		}
 		if adaptive {
-			e.CounterFamily("tc_planner_decisions_total",
-				"Executed queries whose algorithm choice was scored against observed evidence.")
-			e.CounterFamily("tc_planner_hits_total",
-				"Scored decisions where the blended winner was the evidence-fastest algorithm.")
-			e.CounterFamily("tc_planner_explorations_total",
-				"Plan rankings that promoted a cold candidate (epsilon-greedy).")
-			e.CounterFamily("tc_planner_observations_total",
-				"Executed queries folded into the planner's observation store.")
-			e.GaugeFamily("tc_planner_hit_rate",
-				"Rolling fraction of scored decisions where the planner picked the evidence-fastest algorithm.")
-			for _, t := range tenants {
-				if !t.Adaptive {
-					continue
+			perPlanner := func(typ func(name, help string), name, help string, v func(planner.Stats) float64) {
+				typ(name, help)
+				for _, t := range tenants {
+					if t.Adaptive {
+						e.Sample(name, tl(t.Name), v(t.Planner))
+					}
 				}
-				e.Sample("tc_planner_decisions_total", tl(t.Name), float64(t.Planner.Decisions))
-				e.Sample("tc_planner_hits_total", tl(t.Name), float64(t.Planner.Hits))
-				e.Sample("tc_planner_explorations_total", tl(t.Name), float64(t.Planner.Explorations))
-				e.Sample("tc_planner_observations_total", tl(t.Name), float64(t.Planner.Observations))
-				e.Sample("tc_planner_hit_rate", tl(t.Name), t.Planner.HitRate)
 			}
+			perPlanner(e.CounterFamily, "tc_planner_decisions_total",
+				"Executed queries whose algorithm choice was scored against observed evidence.",
+				func(p planner.Stats) float64 { return float64(p.Decisions) })
+			perPlanner(e.CounterFamily, "tc_planner_hits_total",
+				"Scored decisions where the blended winner was the evidence-fastest algorithm.",
+				func(p planner.Stats) float64 { return float64(p.Hits) })
+			perPlanner(e.CounterFamily, "tc_planner_explorations_total",
+				"Plan rankings that promoted a cold candidate (epsilon-greedy).",
+				func(p planner.Stats) float64 { return float64(p.Explorations) })
+			perPlanner(e.CounterFamily, "tc_planner_observations_total",
+				"Executed queries folded into the planner's observation store.",
+				func(p planner.Stats) float64 { return float64(p.Observations) })
+			perPlanner(e.GaugeFamily, "tc_planner_hit_rate",
+				"Rolling fraction of scored decisions where the planner picked the evidence-fastest algorithm.",
+				func(p planner.Stats) float64 { return p.HitRate })
 		}
 	}
 
