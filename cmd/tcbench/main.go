@@ -8,7 +8,9 @@
 //	tcbench -list                # list experiment IDs
 //	tcbench -exp fig8 -markdown  # markdown output (for EXPERIMENTS.md)
 //	tcbench -exp all -nodes 500 -reps 1 -v   # quick shape-preserving run
-//	tcbench -json -nodes 500                 # machine-readable micro-benchmarks
+//
+// The repository's performance record is bench/ (see bench/README.md), not
+// this command.
 package main
 
 import (
@@ -29,18 +31,9 @@ func main() {
 		reps     = flag.Int("reps", 3, "random source sets averaged per selection query (paper: 5)")
 		markdown = flag.Bool("markdown", false, "render tables as markdown")
 		verbose  = flag.Bool("v", false, "print progress while running")
-		jsonOut  = flag.Bool("json", false, "run the micro-benchmark suite, one JSON record per line")
-		m        = flag.Int("m", 10, "buffer pool pages per query (-json suite)")
 	)
 	flag.Parse()
 
-	if *jsonOut {
-		if err := runJSON(*nodes, 5, 200, *seed, *m); err != nil {
-			fmt.Fprintln(os.Stderr, "tcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		titles := experiments.Titles()
 		for _, id := range experiments.IDs() {

@@ -53,6 +53,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tcstudy/internal/api"
+	"tcstudy/internal/dynamic"
 	"tcstudy/internal/httpretry"
 )
 
@@ -191,10 +193,14 @@ func parseTargets(targets, addr string) []string {
 func checkTargets(c *http.Client, endpoints []string) (int, error) {
 	nodes := 0
 	for i, base := range endpoints {
-		n, err := fetchNodes(c, base)
+		h, err := fetchHealth(c, base)
+		if err == nil && h.Nodes < 1 {
+			err = fmt.Errorf("server reports %d nodes", h.Nodes)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("cannot reach server at %s: %w", base, err)
 		}
+		n := h.Nodes
 		if i == 0 {
 			nodes = n
 		} else if n != nodes {
@@ -284,16 +290,20 @@ func buildTenants(c *http.Client, endpoints []string, graphList string, p tenant
 func checkGraphTargets(c *http.Client, endpoints, names []string) (map[string]int, error) {
 	sizes := make(map[string]int)
 	for i, base := range endpoints {
-		graphs, err := fetchGraphs(c, base)
+		h, err := fetchHealth(c, base)
+		if err == nil && len(h.Graphs) == 0 {
+			err = fmt.Errorf("server reports no named graphs (-graph needs tcserve -graphs or a multi-graph fleet)")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("cannot reach server at %s: %w", base, err)
 		}
 		for _, name := range names {
-			n, ok := graphs[name]
+			g, ok := h.Graphs[name]
 			if !ok {
 				return nil, fmt.Errorf("server %s does not serve graph %q (it serves %s)",
-					base, name, graphNames(graphs))
+					base, name, graphNames(h.Graphs))
 			}
+			n := g.Nodes
 			if i == 0 {
 				sizes[name] = n
 			} else if n != sizes[name] {
@@ -305,7 +315,7 @@ func checkGraphTargets(c *http.Client, endpoints, names []string) (map[string]in
 	return sizes, nil
 }
 
-func graphNames(graphs map[string]int) string {
+func graphNames(graphs map[string]api.GraphHealth) string {
 	names := make([]string, 0, len(graphs))
 	for n := range graphs {
 		names = append(names, n)
@@ -402,17 +412,9 @@ func buildShapes(algs, graph string, nodes, maxSources, pool int, m int, seed in
 		for j := range sources {
 			sources[j] = int32(rng.Intn(nodes) + 1)
 		}
-		req := map[string]any{
-			"algorithm": algList[i%len(algList)],
-			"sources":   sources,
-		}
-		if graph != "" {
-			req["graph"] = graph
-		}
-		if m > 0 {
-			req["buffer_pages"] = m
-		}
-		b, err := json.Marshal(req)
+		b, err := json.Marshal(api.QueryRequest{
+			Algorithm: algList[i%len(algList)], Sources: sources, Graph: graph, BufferPages: max(m, 0),
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -429,20 +431,13 @@ func makeArcBatch(rng *rand.Rand, nodes, ops, deletePct int) []byte {
 	if ops < 1 {
 		ops = 1
 	}
-	type arcOp struct {
-		Op   string `json:"op"`
-		From int32  `json:"from"`
-		To   int32  `json:"to"`
-	}
-	batch := struct {
-		Ops []arcOp `json:"ops"`
-	}{Ops: make([]arcOp, ops)}
+	batch := dynamic.Batch{Ops: make([]dynamic.Op, ops)}
 	for i := range batch.Ops {
-		op := "insert"
+		op := dynamic.OpInsert
 		if rng.Intn(100) < deletePct {
-			op = "delete"
+			op = dynamic.OpDelete
 		}
-		batch.Ops[i] = arcOp{Op: op, From: int32(rng.Intn(nodes) + 1), To: int32(rng.Intn(nodes) + 1)}
+		batch.Ops[i] = dynamic.Op{Op: op, From: int32(rng.Intn(nodes) + 1), To: int32(rng.Intn(nodes) + 1)}
 	}
 	b, err := json.Marshal(batch)
 	if err != nil {
@@ -558,30 +553,16 @@ func (c *collector) report(d time.Duration, dropped int64) {
 	}
 }
 
-// fetchGraphs reads the per-tenant graphs block from a multi-graph
-// server's /healthz (name -> node count).
-func fetchGraphs(c *http.Client, addr string) (map[string]int, error) {
+// fetchHealth reads a target's /healthz. A tcrouter's reply decodes too:
+// it carries the same nodes and per-graph node counts.
+func fetchHealth(c *http.Client, addr string) (api.Health, error) {
+	var h api.Health
 	resp, err := c.Get(addr + "/healthz")
 	if err != nil {
-		return nil, err
+		return h, err
 	}
 	defer resp.Body.Close()
-	var h struct {
-		Graphs map[string]struct {
-			Nodes int `json:"nodes"`
-		} `json:"graphs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, err
-	}
-	if len(h.Graphs) == 0 {
-		return nil, fmt.Errorf("server reports no named graphs (-graph needs tcserve -graphs or a multi-graph fleet)")
-	}
-	out := make(map[string]int, len(h.Graphs))
-	for name, g := range h.Graphs {
-		out[name] = g.Nodes
-	}
-	return out, nil
+	return h, json.NewDecoder(resp.Body).Decode(&h)
 }
 
 // summary prints the end-of-run line for one named graph's slice of the
@@ -601,38 +582,13 @@ func (c *collector) summary(name string) {
 	fmt.Println(line)
 }
 
-func fetchNodes(c *http.Client, addr string) (int, error) {
-	resp, err := c.Get(addr + "/healthz")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Nodes int `json:"nodes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0, err
-	}
-	if h.Nodes < 1 {
-		return 0, fmt.Errorf("server reports %d nodes", h.Nodes)
-	}
-	return h.Nodes, nil
-}
-
 func printServerMetrics(c *http.Client, addr string) {
 	resp, err := c.Get(addr + "/metrics?format=json")
 	if err != nil {
 		return
 	}
 	defer resp.Body.Close()
-	var m struct {
-		QPS          float64 `json:"qps"`
-		CacheHits    int64   `json:"cache_hits"`
-		CacheMisses  int64   `json:"cache_misses"`
-		CacheHitRate float64 `json:"cache_hit_rate"`
-		Deduplicated int64   `json:"deduplicated"`
-		PagesServed  int64   `json:"pages_served"`
-	}
+	var m api.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		return
 	}
@@ -646,20 +602,8 @@ func printServerMetrics(c *http.Client, addr string) {
 // Servers without a loaded index (or routers that do not expose one) are
 // silently skipped.
 func printServerIndex(c *http.Client, addr string) {
-	resp, err := c.Get(addr + "/healthz")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Index *struct {
-			Generation int64  `json:"generation"`
-			Chains     int    `json:"chains"`
-			Builder    string `json:"builder"`
-			Stale      bool   `json:"stale"`
-		} `json:"index"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || h.Index == nil {
+	h, err := fetchHealth(c, addr)
+	if err != nil || h.Index == nil {
 		return
 	}
 	fmt.Printf("index         %s decomposition, k=%d chains, generation %d, stale %t\n",

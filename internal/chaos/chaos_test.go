@@ -230,3 +230,62 @@ func copyDir(t *testing.T, src, dst string) {
 		}
 	}
 }
+
+// TestDifferentialDuplicateSources pins that a source list with repeats is
+// the query of its set: all eleven algorithms, through every engine entry
+// point, return each source's successors once — the oracle's answer — and
+// do exactly the work of the repeat-free list in first-occurrence order.
+func TestDifferentialDuplicateSources(t *testing.T) {
+	c := Case{Seed: 77, Nodes: 100, OutDegree: 4, Locality: 25, BufferPages: 10}
+	g, db, _, err := c.materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three sources that reach something, so a doubled answer shows.
+	var set []int32
+	all := Oracle(c.Nodes, g.Arcs(), nil)
+	for v := int32(c.Nodes); v >= 1 && len(set) < 3; v-- {
+		if len(all[v]) >= 5 {
+			set = append(set, v)
+		}
+	}
+	repeats := []int32{set[0], set[0], set[1], set[0], set[2], set[1]}
+	want := Oracle(c.Nodes, g.Arcs(), set)
+	for _, alg := range core.Algorithms() {
+		ref, err := core.Run(db, alg, core.Query{Sources: set}, c.config())
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		sess, err := core.NewSession(db, c.config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := map[string]func() (*core.Result, error){
+			"Run": func() (*core.Result, error) {
+				return core.Run(db, alg, core.Query{Sources: repeats}, c.config())
+			},
+			"RunConcurrent": func() (*core.Result, error) {
+				r := core.RunConcurrent(db, []core.Request{{Alg: alg, Query: core.Query{Sources: repeats}, Cfg: c.config()}})[0]
+				return r.Result, r.Err
+			},
+			"Session.Run": func() (*core.Result, error) {
+				return sess.Run(alg, core.Query{Sources: repeats})
+			},
+		}
+		for name, run := range entries {
+			got, err := run()
+			if err != nil {
+				t.Fatalf("%s via %s: %v", alg, name, err)
+			}
+			if err := diff(got.Successors, want); err != nil {
+				t.Errorf("%s via %s with repeated sources: %v", alg, name, err)
+			}
+			if len(got.Successors) != len(set) {
+				t.Errorf("%s via %s: %d answer entries for %d distinct sources", alg, name, len(got.Successors), len(set))
+			}
+			if a, b := fingerprint(got.Metrics), fingerprint(ref.Metrics); a != b {
+				t.Errorf("%s via %s: repeated sources changed the work:\n  got  %s\n  want %s", alg, name, a, b)
+			}
+		}
+	}
+}

@@ -118,16 +118,10 @@ func RunConcurrent(db *Database, reqs []Request) []Response {
 }
 
 func runOne(db *Database, r Request) Response {
-	cfg := r.Cfg.withDefaults()
-	if err := validate(db, r.Query, cfg); err != nil {
+	r, err := r.Validate(db)
+	if err != nil {
 		return Response{Err: err}
 	}
-	var res *Result
-	var err error
-	if parallelEligible(r.Alg, r.Query, cfg) {
-		res, err = runParallelSources(db, r.Alg, r.Query, cfg)
-	} else {
-		res, err = runOwned(db, r.Alg, r.Query, cfg)
-	}
+	res, err := r.run(db)
 	return Response{Result: res, Err: err}
 }

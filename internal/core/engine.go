@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -263,30 +264,91 @@ func newPagePolicy(cfg Config) (buffer.Policy, error) {
 
 func fileID(id int) pagedisk.FileID { return pagedisk.FileID(id) }
 
-// validate checks a query/config pair against the database. Shared by the
-// Run, RunConcurrent and parallel-worker entry points.
-func validate(db *Database, q Query, cfg Config) error {
-	if cfg.BufferPages < 4 {
-		return fmt.Errorf("core: buffer pool must have at least 4 pages, got %d", cfg.BufferPages)
+// InvalidInputError reports a request the engine refuses because of its
+// own inputs: an unknown algorithm or policy, a buffer pool too small, a
+// source outside the graph. A serving tier maps it to a client error.
+type InvalidInputError struct{ Reason string }
+
+func (e *InvalidInputError) Error() string { return "core: " + e.Reason }
+
+func invalidInput(format string, args ...any) error {
+	return &InvalidInputError{Reason: fmt.Sprintf(format, args...)}
+}
+
+// validate checks the system parameters every entry point depends on.
+func (c Config) validate() error {
+	if c.BufferPages < 4 {
+		return invalidInput("buffer pool must have at least 4 pages, got %d", c.BufferPages)
 	}
-	if _, err := buffer.NewPolicy(cfg.PagePolicy, cfg.BufferPages); err != nil {
-		return err
+	if _, err := buffer.NewPolicy(c.PagePolicy, c.BufferPages); err != nil {
+		return invalidInput("%v", err)
 	}
-	if _, err := slist.NewListPolicy(cfg.ListPolicy); err != nil {
-		return err
-	}
-	for _, s := range q.Sources {
-		if s < 1 || s > int32(db.n) {
-			return fmt.Errorf("core: source node %d outside 1..%d", s, db.n)
-		}
+	if _, err := slist.NewListPolicy(c.ListPolicy); err != nil {
+		return invalidInput("%v", err)
 	}
 	return nil
 }
 
+// normalizeSources range-checks a source list against the database and
+// drops repeated sources (see DedupSources).
+func (db *Database) normalizeSources(sources []int32) ([]int32, error) {
+	for _, s := range sources {
+		if s < 1 || s > int32(db.n) {
+			return nil, invalidInput("source node %d outside 1..%d", s, db.n)
+		}
+	}
+	return DedupSources(sources), nil
+}
+
+// DedupSources drops repeated sources, keeping each first occurrence in
+// place: the answer is a per-source map, so multiplicity cannot matter,
+// but the order of the survivors feeds page I/O and must not move. The
+// input is returned as is when it holds no repeat.
+func DedupSources(sources []int32) []int32 {
+	if len(sources) < 2 {
+		return sources // every reach probe and single-source query: no set to build
+	}
+	seen := make(map[int32]struct{}, len(sources))
+	for i, s := range sources {
+		if _, dup := seen[s]; !dup {
+			seen[s] = struct{}{}
+			continue
+		}
+		out := append([]int32(nil), sources[:i]...)
+		for _, s := range sources[i+1:] {
+			if _, dup := seen[s]; !dup {
+				seen[s] = struct{}{}
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	return sources
+}
+
+// Validate is the one validation and normalisation entry of the engine:
+// it checks the request against the database and returns it as it will
+// execute — configuration defaults filled in, repeated sources dropped —
+// so a caller that keys a cache or partitions work on the request sees
+// exactly the source set the engine expands. Failures are
+// *InvalidInputError.
+func (r Request) Validate(db *Database) (Request, error) {
+	if !slices.Contains(Algorithms(), r.Alg) {
+		return r, invalidInput("unknown algorithm %q (have %v)", r.Alg, Algorithms())
+	}
+	r.Cfg = r.Cfg.withDefaults()
+	if err := r.Cfg.validate(); err != nil {
+		return r, err
+	}
+	var err error
+	r.Query.Sources, err = db.normalizeSources(r.Query.Sources)
+	return r, err
+}
+
 // Run executes one query with one algorithm under the given configuration.
 func Run(db *Database, alg Algorithm, q Query, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := validate(db, q, cfg); err != nil {
+	r, err := Request{Alg: alg, Query: q, Cfg: cfg}.Validate(db)
+	if err != nil {
 		return nil, err
 	}
 	// Each run measures from a cold buffer pool and a clean counter state,
@@ -294,10 +356,15 @@ func Run(db *Database, alg Algorithm, q Query, cfg Config) (*Result, error) {
 	// run creates (successor lists, trees, sort runs) are released when it
 	// finishes — the answer has been materialized by then.
 	db.disk.ResetStats()
-	if parallelEligible(alg, q, cfg) {
-		return runParallelSources(db, alg, q, cfg)
+	return r.run(db)
+}
+
+// run executes a validated request.
+func (r Request) run(db *Database) (*Result, error) {
+	if parallelEligible(r.Alg, r.Query, r.Cfg) {
+		return runParallelSources(db, r.Alg, r.Query, r.Cfg)
 	}
-	return runOwned(db, alg, q, cfg)
+	return runOwned(db, r.Alg, r.Query, r.Cfg)
 }
 
 // engine is the per-run state shared by the algorithm implementations.

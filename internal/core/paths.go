@@ -83,8 +83,8 @@ func RunPaths(db *Database, agg PathAggregate, q Query, cfg Config) (*PathResult
 // point: it validates the configuration, builds a fresh pool, runs fn and
 // returns the collected metrics.
 func runEngine(db *Database, q Query, cfg Config, fn func(*engine) error) (*Metrics, error) {
-	if cfg.BufferPages < 4 {
-		return nil, fmt.Errorf("core: buffer pool must have at least 4 pages, got %d", cfg.BufferPages)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	pagePol, err := newPagePolicy(cfg)
 	if err != nil {
@@ -94,10 +94,8 @@ func runEngine(db *Database, q Query, cfg Config, fn func(*engine) error) (*Metr
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range q.Sources {
-		if s < 1 || s > int32(db.n) {
-			return nil, fmt.Errorf("core: source node %d outside 1..%d", s, db.n)
-		}
+	if q.Sources, err = db.normalizeSources(q.Sources); err != nil {
+		return nil, err
 	}
 	db.disk.ResetStats()
 	tracker := newTempTracker(db.disk)

@@ -33,14 +33,11 @@ type Session struct {
 // NewSession validates the configuration and opens a session.
 func NewSession(db *Database, cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
-	if cfg.BufferPages < 4 {
-		return nil, fmt.Errorf("core: buffer pool must have at least 4 pages, got %d", cfg.BufferPages)
-	}
-	pagePol, err := buffer.NewPolicy(cfg.PagePolicy, cfg.BufferPages)
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if _, err := slist.NewListPolicy(cfg.ListPolicy); err != nil {
+	pagePol, err := newPagePolicy(cfg)
+	if err != nil {
 		return nil, err
 	}
 	return &Session{
@@ -63,10 +60,8 @@ func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, src := range q.Sources {
-		if src < 1 || src > int32(s.db.n) {
-			return nil, fmt.Errorf("core: source node %d outside 1..%d", src, s.db.n)
-		}
+	if q.Sources, err = s.db.normalizeSources(q.Sources); err != nil {
+		return nil, err
 	}
 	baseFiles := s.db.disk.NumFiles()
 	res, err := execute(s.db, s.pool, listPol, alg, q, s.cfg)

@@ -1,11 +1,12 @@
 package obsv
 
-// Hand-rolled Prometheus primitives: a fixed-bucket histogram, a text
-// exposition builder, and a minimal exposition-format parser used by the
-// tests to validate /metrics output. The subset implemented is exactly
-// what the serving layer emits — counter, gauge and histogram families
-// with optional labels — in the text format Prometheus scrapes
-// (version 0.0.4). No third-party client library is involved.
+// Hand-rolled Prometheus primitives: a fixed-bucket histogram, the value
+// formatting the Registry's text exposition shares, and a minimal
+// exposition-format parser used by the tests to validate /metrics output.
+// The subset implemented is exactly what the serving layer emits —
+// counter, gauge and histogram families with optional labels — in the text
+// format Prometheus scrapes (version 0.0.4). No third-party client library
+// is involved.
 
 import (
 	"fmt"
@@ -87,116 +88,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Label is one name="value" pair on a sample.
-type Label struct {
-	Name  string
-	Value string
-}
-
-// Exposition builds a Prometheus text-format (version 0.0.4) payload.
-// Families must be declared (Counter/Gauge for single-sample families,
-// CounterFamily/GaugeFamily/HistogramFamily for labeled ones) before
-// samples are written; declaring a family twice panics, as duplicate
-// families make an exposition invalid.
-type Exposition struct {
-	b     strings.Builder
-	types map[string]string // family name -> TYPE
-}
-
-// NewExposition returns an empty builder.
-func NewExposition() *Exposition {
-	return &Exposition{types: make(map[string]string)}
-}
-
-func (e *Exposition) family(name, typ, help string) {
-	if _, dup := e.types[name]; dup {
-		panic("obsv: duplicate metric family " + name)
-	}
-	e.types[name] = typ
-	fmt.Fprintf(&e.b, "# HELP %s %s\n", name, escapeHelp(help))
-	fmt.Fprintf(&e.b, "# TYPE %s %s\n", name, typ)
-}
-
-// Counter declares a counter family and writes its single unlabeled sample.
-func (e *Exposition) Counter(name, help string, value float64) {
-	e.family(name, "counter", help)
-	e.Sample(name, nil, value)
-}
-
-// Gauge declares a gauge family and writes its single unlabeled sample.
-func (e *Exposition) Gauge(name, help string, value float64) {
-	e.family(name, "gauge", help)
-	e.Sample(name, nil, value)
-}
-
-// CounterFamily declares a labeled counter family; write its samples with
-// Sample.
-func (e *Exposition) CounterFamily(name, help string) {
-	e.family(name, "counter", help)
-}
-
-// GaugeFamily declares a labeled gauge family; write its samples with
-// Sample.
-func (e *Exposition) GaugeFamily(name, help string) {
-	e.family(name, "gauge", help)
-}
-
-// HistogramFamily declares a histogram family; write its per-label-set
-// snapshots with Histogram.
-func (e *Exposition) HistogramFamily(name, help string) {
-	e.family(name, "histogram", help)
-}
-
-// Sample writes one sample line for a previously declared family.
-func (e *Exposition) Sample(name string, labels []Label, value float64) {
-	typ, ok := e.types[name]
-	if !ok {
-		panic("obsv: sample for undeclared family " + name)
-	}
-	if typ == "histogram" {
-		panic("obsv: raw sample for histogram family " + name + " (use Histogram)")
-	}
-	e.sampleLine(name, labels, value)
-}
-
-// Histogram writes the bucket/sum/count series of one histogram snapshot
-// under a previously declared histogram family.
-func (e *Exposition) Histogram(name string, labels []Label, snap HistogramSnapshot) {
-	if e.types[name] != "histogram" {
-		panic("obsv: Histogram on non-histogram family " + name)
-	}
-	var cum int64
-	for i, bound := range snap.Bounds {
-		cum += snap.Counts[i]
-		e.sampleLine(name+"_bucket", append(labels[:len(labels):len(labels)],
-			Label{"le", formatFloat(bound)}), float64(cum))
-	}
-	e.sampleLine(name+"_bucket", append(labels[:len(labels):len(labels)],
-		Label{"le", "+Inf"}), float64(snap.Count))
-	e.sampleLine(name+"_sum", labels, snap.Sum)
-	e.sampleLine(name+"_count", labels, float64(snap.Count))
-}
-
-func (e *Exposition) sampleLine(name string, labels []Label, value float64) {
-	e.b.WriteString(name)
-	if len(labels) > 0 {
-		e.b.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				e.b.WriteByte(',')
-			}
-			fmt.Fprintf(&e.b, "%s=%q", l.Name, escapeLabel(l.Value))
-		}
-		e.b.WriteByte('}')
-	}
-	e.b.WriteByte(' ')
-	e.b.WriteString(formatFloat(value))
-	e.b.WriteByte('\n')
-}
-
-// String renders the exposition payload.
-func (e *Exposition) String() string { return e.b.String() }
-
 func formatFloat(v float64) string {
 	if math.IsInf(v, 1) {
 		return "+Inf"
@@ -209,7 +100,7 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// escapeLabel escapes backslash and newline; the %q in sampleLine handles
+// escapeLabel flattens newlines; the %q in sampleLine escapes backslash and
 // the double quote.
 func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", " ")

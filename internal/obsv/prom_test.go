@@ -1,8 +1,11 @@
 package obsv
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,20 +40,24 @@ func TestHistogramBadBounds(t *testing.T) {
 	NewHistogram(1, 1)
 }
 
-// buildExposition assembles a payload exercising every family kind.
+// buildExposition assembles a payload exercising every family kind and
+// every way a series gets its value: a handle, a callback, a histogram.
 func buildExposition() string {
-	e := NewExposition()
-	e.Counter("tc_queries_total", "Queries accepted for processing.", 42)
-	e.Gauge(`tc_in_flight`, "Requests currently being processed.", 3)
-	e.CounterFamily("tc_requests_total", "Requests by endpoint.")
-	e.Sample("tc_requests_total", []Label{{"endpoint", "query"}}, 40)
-	e.Sample("tc_requests_total", []Label{{"endpoint", "reach"}}, 2)
-	h := NewHistogram(0.01, 0.1, 1)
+	r := NewRegistry()
+	r.Counter("tc_queries_total", "Queries accepted for processing.").Int().Add(42)
+	r.Gauge(`tc_in_flight`, "Requests currently being processed.").Func(func() float64 { return 3 })
+	reqs := r.Counter("tc_requests_total", "Requests by endpoint.", "endpoint")
+	reqs.Int("reach").Add(2)
+	reqs.Int("query").Add(39)
+	reqs.Int("query").Add(1) // the same series, resolved again
+	h := r.Histogram("tc_request_duration_seconds", "Request latency.", []float64{0.01, 0.1, 1}, "endpoint").Hist("query")
 	h.Observe(0.004)
 	h.Observe(0.2)
-	e.HistogramFamily("tc_request_duration_seconds", "Request latency.")
-	e.Histogram("tc_request_duration_seconds", []Label{{"endpoint", "query"}}, h.Snapshot())
-	return e.String()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		panic(err)
+	}
+	return b.String()
 }
 
 func TestExpositionRoundTrip(t *testing.T) {
@@ -88,17 +95,22 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if !infSeen {
 		t.Fatal("no +Inf bucket emitted")
 	}
+	// A family's series are exposed sorted by label value, whatever order
+	// they were resolved in.
+	if q, r := strings.Index(text, `tc_requests_total{endpoint="query"} 40`), strings.Index(text, `tc_requests_total{endpoint="reach"} 2`); q < 0 || r < q {
+		t.Fatalf("tc_requests_total series missing or unsorted:\n%s", text)
+	}
 }
 
 func TestExpositionRejectsDuplicateFamily(t *testing.T) {
-	e := NewExposition()
-	e.Counter("x_total", "x", 1)
+	r := NewRegistry()
+	r.Counter("x_total", "x")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on duplicate family")
 		}
 	}()
-	e.Counter("x_total", "x again", 2)
+	r.Gauge("x_total", "x again")
 }
 
 func TestParseRejects(t *testing.T) {
@@ -129,5 +141,47 @@ func TestParseTypeAfterSamplesOfOtherFamilyOK(t *testing.T) {
 	text := "# HELP a a\n# TYPE a counter\na 1\n# HELP b b\n# TYPE b gauge\nb 2\n"
 	if _, err := ParseExposition(text); err != nil {
 		t.Fatalf("sequential families rejected: %v", err)
+	}
+}
+
+// TestRegistryConcurrentSeries resolves the same lazily-created series from
+// many goroutines — the router's per-tenant counters and the server's
+// per-algorithm histograms do this on request paths — while a scraper
+// reads: every increment must land on the one series of its label tuple.
+func TestRegistryConcurrentSeries(t *testing.T) {
+	r := NewRegistry()
+	reads := r.Counter("reads_total", "Reads by tenant.", "tenant")
+	phase := r.Histogram("phase_seconds", "Phase time.", DurationBuckets(), "algorithm", "phase")
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				reads.Int(fmt.Sprintf("t%d", i%3)).Add(1)
+				phase.Hist("btc", "compute").Observe(0.001)
+				if i%50 == 0 {
+					if err := r.WritePrometheus(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(b.String())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, b.String())
+	}
+	if v, _ := CounterValue(fams, "reads_total"); v != workers*rounds || len(fams["reads_total"].Samples) != 3 {
+		t.Fatalf("reads_total sums to %v over %d series, want %d over 3", v, len(fams["reads_total"].Samples), workers*rounds)
+	}
+	if got := phase.Hist("btc", "compute").Snapshot().Count; got != workers*rounds {
+		t.Fatalf("histogram holds %d observations, want %d", got, workers*rounds)
 	}
 }

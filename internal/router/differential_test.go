@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"sort"
 	"testing"
+
+	"tcstudy/internal/api"
 )
 
 // postShardQuery sends one tcserve-shaped query directly to a replica and
 // decodes the raw shard response.
-func postShardQuery(t *testing.T, base string, body any) shardResponse {
+func postShardQuery(t *testing.T, base string, body any) api.QueryResponse {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(mustJSON(t, body)))
 	if err != nil {
@@ -20,7 +22,7 @@ func postShardQuery(t *testing.T, base string, body any) shardResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("direct query status %d", resp.StatusCode)
 	}
-	var sr shardResponse
+	var sr api.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"tcstudy/internal/api"
 )
 
 // replicaState is one replica's enrollment state.
@@ -43,6 +46,9 @@ func (s replicaState) String() string {
 type replica struct {
 	url string
 
+	// Sub-request counters (tcr_shard_*_total), resolved at construction.
+	requests, failures *atomic.Int64
+
 	state       replicaState
 	consecFails int
 	consecOK    int
@@ -52,11 +58,10 @@ type replica struct {
 	fingerprint string
 	nodes       int
 	arcs        int
-	indexGen    int
+	indexGen    int64
 	hasIndex    bool
-	// graphs is the per-tenant identity block of a multi-graph replica
-	// (nil when the replica serves a single unnamed graph).
-	graphs map[string]graphIdentity
+	// graphs is the per-tenant identity block of the replica's /healthz.
+	graphs map[string]api.GraphIdentity
 
 	// Dynamic (mutable) replica state, from healthz's dynamic block or
 	// refreshed by a write fan-out. lagExcluded marks a healthy replica
@@ -69,34 +74,13 @@ type replica struct {
 	lagExcluded bool
 }
 
-// graphIdentity is one named graph's dataset identity as reported by a
-// replica's /healthz graphs block.
-type graphIdentity struct {
-	Nodes       int    `json:"nodes"`
-	Arcs        int    `json:"arcs"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-// replicaHealthz is the subset of tcserve's /healthz body the router
-// consumes.
-type replicaHealthz struct {
-	Status      string `json:"status"`
-	Nodes       int    `json:"nodes"`
-	Arcs        int    `json:"arcs"`
-	Fingerprint string `json:"fingerprint"`
-	Index       *struct {
-		Generation int  `json:"generation"`
-		Stale      bool `json:"stale"`
-	} `json:"index"`
-	Dynamic *struct {
-		Seq        int64 `json:"seq"`
-		Generation int64 `json:"generation"`
-		Pending    int   `json:"pending"`
-	} `json:"dynamic"`
-	// Graphs carries per-tenant identities on a multi-graph replica. The
-	// top-level fingerprint folds them, so the top-level comparison still
-	// decides enrollment; the per-tenant block names which graph diverged.
-	Graphs map[string]graphIdentity `json:"graphs"`
+// count charges one sub-request to the replica and, when it did not return
+// 200, the failure.
+func (rep *replica) count(ok bool) {
+	rep.requests.Add(1)
+	if !ok {
+		rep.failures.Add(1)
+	}
 }
 
 // CheckNow sweeps every replica's /healthz once, synchronously, and
@@ -113,7 +97,7 @@ func (rt *Router) CheckNow(ctx context.Context) {
 	rt.mu.RUnlock()
 
 	type probe struct {
-		h   replicaHealthz
+		h   api.Health
 		err error
 	}
 	results := make([]probe, len(reps))
@@ -145,7 +129,7 @@ func (rt *Router) CheckNow(ctx context.Context) {
 
 // applyProbe folds one health observation into a replica's state,
 // reporting whether its enrollment changed. Caller holds rt.mu.
-func (rt *Router) applyProbe(rep *replica, h replicaHealthz, err error) bool {
+func (rt *Router) applyProbe(rep *replica, h api.Health, err error) bool {
 	wasHealthy := rep.state == stateHealthy
 	if err != nil {
 		rep.consecOK = 0
@@ -177,7 +161,13 @@ func (rt *Router) applyProbe(rep *replica, h replicaHealthz, err error) bool {
 		rep.dynGen = h.Dynamic.Generation
 		rep.dynPending = h.Dynamic.Pending
 	}
-	rep.graphs = h.Graphs
+	// The top-level fingerprint folds every tenant's, so the top-level
+	// comparison below still decides enrollment; the per-tenant identities
+	// name which graph diverged.
+	rep.graphs = make(map[string]api.GraphIdentity, len(h.Graphs))
+	for name, g := range h.Graphs {
+		rep.graphs[name] = api.GraphIdentity{Nodes: g.Nodes, Arcs: g.Arcs, Fingerprint: g.Fingerprint}
+	}
 
 	// Enrollment gate: the first healthy replica pins the fleet's dataset
 	// identity — the top-level fingerprint (which on a multi-graph replica
@@ -186,11 +176,11 @@ func (rt *Router) applyProbe(rep *replica, h replicaHealthz, err error) bool {
 	if rt.expect == "" {
 		rt.expect = h.Fingerprint
 		rt.nodes = h.Nodes
-		rt.fleetGraphs = h.Graphs
+		rt.fleetGraphs = rep.graphs
 	}
 	if h.Fingerprint != rt.expect {
 		rep.consecOK = 0
-		rep.lastErr = rt.mismatchReason(h)
+		rep.lastErr = rt.mismatchReason(h.Fingerprint, rep.graphs)
 		if rep.state != stateMismatched {
 			rep.state = stateMismatched
 			rt.met.Mismatched.Add(1)
@@ -227,10 +217,10 @@ func (rt *Router) applyProbe(rep *replica, h replicaHealthz, err error) bool {
 // exact graph that diverged (or is missing) — on a multi-graph fleet the
 // folded top-level fingerprint alone cannot tell the operator which tenant
 // to redeploy. Caller holds rt.mu.
-func (rt *Router) mismatchReason(h replicaHealthz) string {
-	if len(rt.fleetGraphs) > 0 && len(h.Graphs) > 0 {
+func (rt *Router) mismatchReason(fingerprint string, graphs map[string]api.GraphIdentity) string {
+	if len(rt.fleetGraphs) > 0 && len(graphs) > 0 {
 		for name, want := range rt.fleetGraphs {
-			got, ok := h.Graphs[name]
+			got, ok := graphs[name]
 			if !ok {
 				return fmt.Sprintf("graph %q missing (fleet serves it with fingerprint %s)", name, want.Fingerprint)
 			}
@@ -239,13 +229,13 @@ func (rt *Router) mismatchReason(h replicaHealthz) string {
 					name, got.Fingerprint, want.Fingerprint)
 			}
 		}
-		for name := range h.Graphs {
+		for name := range graphs {
 			if _, ok := rt.fleetGraphs[name]; !ok {
 				return fmt.Sprintf("graph %q not served by the fleet", name)
 			}
 		}
 	}
-	return fmt.Sprintf("dataset fingerprint %s does not match fleet %s", h.Fingerprint, rt.expect)
+	return fmt.Sprintf("dataset fingerprint %s does not match fleet %s", fingerprint, rt.expect)
 }
 
 // rebuildRingLocked rebuilds the consistent-hash ring over the healthy
@@ -280,30 +270,30 @@ func (rt *Router) rebuildRingLocked() {
 	rt.ring = buildRing(healthy, rt.opts.Vnodes)
 }
 
-func (rt *Router) fetchHealthz(ctx context.Context, url string) (replicaHealthz, error) {
+func (rt *Router) fetchHealthz(ctx context.Context, url string) (api.Health, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.HealthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
 	if err != nil {
-		return replicaHealthz{}, err
+		return api.Health{}, err
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return replicaHealthz{}, err
+		return api.Health{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return replicaHealthz{}, fmt.Errorf("healthz status %d", resp.StatusCode)
+		return api.Health{}, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
-	var h replicaHealthz
+	var h api.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return replicaHealthz{}, fmt.Errorf("healthz decode: %w", err)
+		return api.Health{}, fmt.Errorf("healthz decode: %w", err)
 	}
 	if h.Status != "ok" {
-		return replicaHealthz{}, fmt.Errorf("healthz status %q", h.Status)
+		return api.Health{}, fmt.Errorf("healthz status %q", h.Status)
 	}
 	if h.Fingerprint == "" {
-		return replicaHealthz{}, fmt.Errorf("healthz carries no dataset fingerprint (old tcserve?)")
+		return api.Health{}, fmt.Errorf("healthz carries no dataset fingerprint (old tcserve?)")
 	}
 	return h, nil
 }

@@ -1,126 +1,11 @@
 package router
 
-// Record is the JSON shape of the paper's full metric record as served by
-// tcserve (internal/server's metricRecord). The router merges one Record
-// per shard into a single fleet-wide record with the same semantics as
-// core's parallel worker merge (internal/core/parallel.go): additive
-// counters sum — the merged record is honest about the total work the
-// fleet performed — and per-phase wall times take the maximum, because
-// the shards ran concurrently. Derived ratios are recomputed from the
-// merged counters rather than averaged, so they remain exact.
-type Record struct {
-	RestructureReads  int64   `json:"restructure_reads"`
-	RestructureWrites int64   `json:"restructure_writes"`
-	ComputeReads      int64   `json:"compute_reads"`
-	ComputeWrites     int64   `json:"compute_writes"`
-	TotalIO           int64   `json:"total_io"`
-	BufferHits        int64   `json:"buffer_hits"`
-	BufferMisses      int64   `json:"buffer_misses"`
-	BufferEvicts      int64   `json:"buffer_evicts"`
-	BufferHitRatio    float64 `json:"buffer_hit_ratio"`
+import "tcstudy/internal/api"
 
-	TuplesGenerated   int64 `json:"tuples_generated"`
-	Duplicates        int64 `json:"duplicates"`
-	DistinctTuples    int64 `json:"distinct_tuples"`
-	SourceTuples      int64 `json:"source_tuples"`
-	SuccessorsFetched int64 `json:"successors_fetched"`
-	ListUnions        int64 `json:"list_unions"`
-	ArcsConsidered    int64 `json:"arcs_considered"`
-	ArcsMarked        int64 `json:"arcs_marked"`
+// Record and MergeRecords are the wire package's api.Record and api.Merge
+// under the names bench/ — which a PR may not edit — compiles against.
+// They are the only two residual names; new code uses internal/api.
+type Record = api.Record
 
-	MarkingPct          float64 `json:"marking_pct"`
-	SelectionEfficiency float64 `json:"selection_efficiency"`
-	UnmarkedLocality    float64 `json:"unmarked_locality"`
-
-	MagicNodes int64   `json:"magic_nodes,omitempty"`
-	MagicArcs  int64   `json:"magic_arcs,omitempty"`
-	MagicH     float64 `json:"magic_h,omitempty"`
-	MagicW     float64 `json:"magic_w,omitempty"`
-
-	PageSplits   int64 `json:"page_splits"`
-	ListsMoved   int64 `json:"lists_moved"`
-	EntriesMoved int64 `json:"entries_moved"`
-	Overflows    int64 `json:"overflows"`
-
-	RestructureMS float64 `json:"restructure_ms"`
-	ComputeMS     float64 `json:"compute_ms"`
-	EstimatedIOMS float64 `json:"estimated_io_ms"`
-}
-
-// MergeRecords folds the per-shard records into one fleet record. It is a
-// pure function of its inputs so a differential test can apply it to
-// records obtained from a single server and compare byte-for-byte.
-func MergeRecords(records []Record) Record {
-	if len(records) == 0 {
-		return Record{}
-	}
-	m := records[0]
-	// locWeight carries the numerator of the unmarked-locality weighted
-	// mean (see below).
-	locSum := m.UnmarkedLocality * float64(m.ListUnions)
-	for _, r := range records[1:] {
-		m.RestructureReads += r.RestructureReads
-		m.RestructureWrites += r.RestructureWrites
-		m.ComputeReads += r.ComputeReads
-		m.ComputeWrites += r.ComputeWrites
-		m.BufferHits += r.BufferHits
-		m.BufferMisses += r.BufferMisses
-		m.BufferEvicts += r.BufferEvicts
-
-		m.TuplesGenerated += r.TuplesGenerated
-		m.Duplicates += r.Duplicates
-		m.DistinctTuples += r.DistinctTuples
-		m.SourceTuples += r.SourceTuples
-		m.SuccessorsFetched += r.SuccessorsFetched
-		m.ListUnions += r.ListUnions
-		m.ArcsConsidered += r.ArcsConsidered
-		m.ArcsMarked += r.ArcsMarked
-		locSum += r.UnmarkedLocality * float64(r.ListUnions)
-
-		m.MagicNodes += r.MagicNodes
-		m.MagicArcs += r.MagicArcs
-		if r.MagicH > m.MagicH {
-			m.MagicH = r.MagicH
-		}
-		if r.MagicW > m.MagicW {
-			m.MagicW = r.MagicW
-		}
-
-		m.PageSplits += r.PageSplits
-		m.ListsMoved += r.ListsMoved
-		m.EntriesMoved += r.EntriesMoved
-		m.Overflows += r.Overflows
-
-		if r.RestructureMS > m.RestructureMS {
-			m.RestructureMS = r.RestructureMS
-		}
-		if r.ComputeMS > m.ComputeMS {
-			m.ComputeMS = r.ComputeMS
-		}
-	}
-	// Derived fields, recomputed exactly from the merged counters (the
-	// same formulas as core.Metrics).
-	m.TotalIO = m.RestructureReads + m.RestructureWrites + m.ComputeReads + m.ComputeWrites
-	m.EstimatedIOMS = float64(m.TotalIO) * 20 // the paper's 20 ms per I/O
-	m.BufferHitRatio = 0
-	if m.BufferHits+m.BufferMisses > 0 {
-		m.BufferHitRatio = float64(m.BufferHits) / float64(m.BufferHits+m.BufferMisses)
-	}
-	m.MarkingPct = 0
-	if m.ArcsConsidered > 0 {
-		m.MarkingPct = 100 * float64(m.ArcsMarked) / float64(m.ArcsConsidered)
-	}
-	m.SelectionEfficiency = 0
-	if m.DistinctTuples > 0 {
-		m.SelectionEfficiency = float64(m.SourceTuples) / float64(m.DistinctTuples)
-	}
-	// Unmarked locality is a per-union mean whose sample count is not part
-	// of the wire record; the union count is its closest proxy, so the
-	// merge takes the union-weighted mean (exact when every union touched
-	// an unmarked arc, the common case).
-	m.UnmarkedLocality = 0
-	if m.ListUnions > 0 {
-		m.UnmarkedLocality = locSum / float64(m.ListUnions)
-	}
-	return m
-}
+// MergeRecords folds per-shard records into one fleet record.
+func MergeRecords(records []Record) Record { return api.Merge(records) }

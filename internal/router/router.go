@@ -35,12 +35,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"tcstudy/internal/api"
+	"tcstudy/internal/core"
 	"tcstudy/internal/httpretry"
 )
 
@@ -133,10 +136,10 @@ type Router struct {
 
 	mu          sync.RWMutex
 	replicas    []*replica
-	ring        *ring                    // healthy replicas only; nil while none are enrolled
-	expect      string                   // fleet dataset fingerprint ("" until first enrollment)
-	nodes       int                      // fleet node count, from the enrolling healthz
-	fleetGraphs map[string]graphIdentity // per-tenant identities (multi-graph fleets)
+	ring        *ring                        // healthy replicas only; nil while none are enrolled
+	expect      string                       // fleet dataset fingerprint ("" until first enrollment)
+	nodes       int                          // fleet node count, from the enrolling healthz
+	fleetGraphs map[string]api.GraphIdentity // per-tenant identities (multi-graph fleets)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -154,7 +157,6 @@ func New(opts Options) (*Router, error) {
 		opts:   opts,
 		client: opts.Client,
 		retry:  httpretry.Policy{Max: opts.Retries, Backoff: opts.Backoff},
-		met:    NewMetrics(),
 		mux:    http.NewServeMux(),
 		expect: opts.ExpectFingerprint,
 		stop:   make(chan struct{}),
@@ -167,6 +169,7 @@ func New(opts Options) (*Router, error) {
 		seen[url] = true
 		rt.replicas = append(rt.replicas, &replica{url: url})
 	}
+	rt.met = newMetrics(rt)
 	rt.mux.HandleFunc("POST /v1/query", rt.handleQuery)
 	rt.mux.HandleFunc("POST /v1/arc", rt.handleArc)
 	rt.mux.HandleFunc("GET /v1/reach", rt.handleReach)
@@ -187,58 +190,6 @@ func (rt *Router) snapshot() *ring {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return rt.ring
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// queryRequest mirrors tcserve's POST /v1/query body; the router rewrites
-// only the source list when scattering, every other field is forwarded
-// untouched.
-type queryRequest struct {
-	Algorithm         string  `json:"algorithm"`
-	Sources           []int32 `json:"sources"`
-	Graph             string  `json:"graph,omitempty"`
-	BufferPages       int     `json:"buffer_pages,omitempty"`
-	PagePolicy        string  `json:"page_policy,omitempty"`
-	ListPolicy        string  `json:"list_policy,omitempty"`
-	ILIMIT            float64 `json:"ilimit,omitempty"`
-	Parallelism       int     `json:"parallelism,omitempty"`
-	TimeoutMS         int     `json:"timeout_ms,omitempty"`
-	IncludeSuccessors bool    `json:"include_successors,omitempty"`
-}
-
-// shardResponse mirrors tcserve's POST /v1/query reply.
-type shardResponse struct {
-	Algorithm       string            `json:"algorithm"`
-	Sources         []int32           `json:"sources,omitempty"`
-	Cached          bool              `json:"cached"`
-	Deduplicated    bool              `json:"deduplicated"`
-	ElapsedMS       float64           `json:"elapsed_ms"`
-	Metrics         Record            `json:"metrics"`
-	SuccessorCounts map[int32]int     `json:"successor_counts"`
-	Successors      map[int32][]int32 `json:"successors,omitempty"`
-}
-
-// queryResponse is the router's gathered reply: the same shape a single
-// tcserve serves, plus the scatter accounting fields.
-type queryResponse struct {
-	Algorithm       string            `json:"algorithm"`
-	Sources         []int32           `json:"sources,omitempty"`
-	Cached          bool              `json:"cached"`       // every shard answered from its cache
-	Deduplicated    bool              `json:"deduplicated"` // any shard coalesced in flight
-	ElapsedMS       float64           `json:"elapsed_ms"`
-	Shards          int               `json:"shards"`
-	Retries         int               `json:"retries,omitempty"`
-	Hedges          int               `json:"hedges,omitempty"`
-	Metrics         Record            `json:"metrics"`
-	SuccessorCounts map[int32]int     `json:"successor_counts"`
-	Successors      map[int32][]int32 `json:"successors,omitempty"`
 }
 
 // shardGroup is the work for one owning replica: the sources it owns plus
@@ -320,7 +271,7 @@ func (rt *Router) send(ctx context.Context, rep *replica, method, path string, b
 	}
 	req, err := http.NewRequestWithContext(ctx, method, rep.url+path, rd)
 	if err != nil {
-		rt.met.ShardRequest(rep.url, false)
+		rep.count(false)
 		return sendResult{err: err, rep: rep}
 	}
 	if body != nil {
@@ -328,16 +279,16 @@ func (rt *Router) send(ctx context.Context, rep *replica, method, path string, b
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.met.ShardRequest(rep.url, false)
+		rep.count(false)
 		return sendResult{err: err, rep: rep}
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		rt.met.ShardRequest(rep.url, false)
+		rep.count(false)
 		return sendResult{err: err, rep: rep}
 	}
-	rt.met.ShardRequest(rep.url, resp.StatusCode == http.StatusOK)
+	rep.count(resp.StatusCode == http.StatusOK)
 	return sendResult{status: resp.StatusCode, body: b, rep: rep}
 }
 
@@ -428,34 +379,41 @@ func (rt *Router) doShard(ctx context.Context, rot []*replica, method, path stri
 func (rt *Router) failShard(w http.ResponseWriter, out shardOutcome) {
 	rt.met.Errors.Add(1)
 	if out.err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":     fmt.Sprintf("replica unreachable after %d retries: %v", out.retries, out.err),
-			"transient": true,
+		api.WriteJSON(w, http.StatusBadGateway, api.Error{
+			Message:   fmt.Sprintf("replica unreachable after %d retries: %v", out.retries, out.err),
+			Transient: true,
 		})
 		return
 	}
+	relay(w, out)
+}
+
+// relay passes a replica's reply through verbatim.
+func relay(w http.ResponseWriter, out shardOutcome) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(out.status)
 	_, _ = w.Write(out.body)
+}
+
+// badRequest rejects a request the router itself cannot parse.
+func (rt *Router) badRequest(w http.ResponseWriter, format string, args ...any) {
+	rt.met.Errors.Add(1)
+	api.WriteJSON(w, http.StatusBadRequest, api.Error{Message: fmt.Sprintf(format, args...)})
 }
 
 // noReplicas rejects a request when the ring is empty.
 func (rt *Router) noReplicas(w http.ResponseWriter) {
 	rt.met.Unavailable.Add(1)
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":     "no healthy replicas",
-		"transient": true,
-	})
+	api.WriteJSON(w, http.StatusServiceUnavailable, api.Error{Message: "no healthy replicas", Transient: true})
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rt.met.Queries.Add(1)
-	var qr queryRequest
+	var qr api.QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
-		rt.met.Errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+		rt.badRequest(w, "bad request body: %v", err)
 		return
 	}
 	rg := rt.snapshot()
@@ -467,6 +425,10 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		qr.Graph = r.URL.Query().Get("graph")
 	}
 	rt.met.TenantRequest(qr.Graph)
+	// The replicas drop repeated sources; drop them before partitioning so
+	// the echoed source list and the shard split describe the set they
+	// answer for.
+	qr.Sources = core.DedupSources(qr.Sources)
 	groups := partition(rg, qr.Sources, tenantSalt(qr.Graph))
 	rt.met.ObserveFanout(len(groups))
 
@@ -478,7 +440,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		body, err := json.Marshal(sub)
 		if err != nil {
 			rt.met.Errors.Add(1)
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			api.WriteJSON(w, http.StatusInternalServerError, api.Error{Message: err.Error()})
 			return
 		}
 		wg.Add(1)
@@ -489,13 +451,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	resp := queryResponse{
+	resp := api.QueryResponse{
 		Algorithm: qr.Algorithm,
 		Sources:   qr.Sources,
 		Cached:    true,
 		Shards:    len(groups),
 	}
-	records := make([]Record, 0, len(groups))
+	records := make([]api.Record, 0, len(groups))
 	for _, out := range outcomes {
 		resp.Retries += out.retries
 		resp.Hedges += out.hedges
@@ -517,18 +479,19 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.failShard(w, *failed)
 		return
 	}
-	var shards []shardResponse
+	var shards []api.QueryResponse
 	for _, out := range outcomes {
-		var sr shardResponse
+		var sr api.QueryResponse
 		if err := json.Unmarshal(out.body, &sr); err != nil {
 			rt.met.Errors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]string{"error": fmt.Sprintf("bad replica response: %v", err)})
+			api.WriteJSON(w, http.StatusBadGateway, api.Error{Message: fmt.Sprintf("bad replica response: %v", err)})
 			return
 		}
 		shards = append(shards, sr)
 	}
 	resp.SuccessorCounts = make(map[int32]int)
 	for _, sr := range shards {
+		resp.Graph = sr.Graph // every shard ran on the one tenant the request named
 		records = append(records, sr.Metrics)
 		resp.Cached = resp.Cached && sr.Cached
 		resp.Deduplicated = resp.Deduplicated || sr.Deduplicated
@@ -544,10 +507,10 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	resp.Metrics = MergeRecords(records)
+	resp.Metrics = api.Merge(records)
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	rt.met.ObserveLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
@@ -555,8 +518,7 @@ func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
 	rt.met.Reaches.Add(1)
 	src, err := strconv.ParseInt(r.URL.Query().Get("src"), 10, 32)
 	if err != nil {
-		rt.met.Errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reach needs integer src and dst parameters"})
+		rt.badRequest(w, "reach needs integer src and dst parameters")
 		return
 	}
 	rg := rt.snapshot()
@@ -573,9 +535,7 @@ func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.met.ObserveLatency(time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out.body)
+	relay(w, out)
 }
 
 // handlePlan proxies the planner ranking to one healthy replica — every
@@ -602,25 +562,7 @@ func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 		rt.failShard(w, out)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out.body)
-}
-
-// replicaStatus is one replica's entry in the router's /healthz.
-type replicaStatus struct {
-	URL                 string            `json:"url"`
-	State               string            `json:"state"`
-	Fingerprint         string            `json:"fingerprint,omitempty"`
-	Nodes               int               `json:"nodes,omitempty"`
-	Arcs                int               `json:"arcs,omitempty"`
-	Graphs              map[string]string `json:"graphs,omitempty"` // tenant -> fingerprint
-	IndexGeneration     int               `json:"index_generation,omitempty"`
-	Seq                 int64             `json:"seq,omitempty"`
-	Pending             int               `json:"pending,omitempty"`
-	Lagging             bool              `json:"lagging,omitempty"`
-	ConsecutiveFailures int               `json:"consecutive_failures,omitempty"`
-	LastError           string            `json:"last_error,omitempty"`
+	relay(w, out)
 }
 
 // handleHealthz reports the router's own health: the fleet fingerprint,
@@ -629,13 +571,13 @@ type replicaStatus struct {
 // router and a replica interchangeably.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	rt.mu.RLock()
-	statuses := make([]replicaStatus, 0, len(rt.replicas))
+	statuses := make([]api.ReplicaStatus, 0, len(rt.replicas))
 	healthy := 0
 	for _, rep := range rt.replicas {
 		if rep.state == stateHealthy {
 			healthy++
 		}
-		st := replicaStatus{
+		st := api.ReplicaStatus{
 			URL:                 rep.url,
 			State:               rep.state.String(),
 			Fingerprint:         rep.fingerprint,
@@ -660,47 +602,21 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		statuses = append(statuses, st)
 	}
-	expect, nodes := rt.expect, rt.nodes
-	var fleetGraphs map[string]graphIdentity
-	if len(rt.fleetGraphs) > 0 {
-		fleetGraphs = make(map[string]graphIdentity, len(rt.fleetGraphs))
-		for name, g := range rt.fleetGraphs {
-			fleetGraphs[name] = g
-		}
+	resp := api.RouterHealth{
+		Fingerprint: rt.expect, Graphs: maps.Clone(rt.fleetGraphs), HealthyReplicas: healthy,
+		Nodes: rt.nodes, Replicas: statuses, Status: "ok",
 	}
 	rt.mu.RUnlock()
 	sort.Slice(statuses, func(i, j int) bool { return statuses[i].URL < statuses[j].URL })
-	status := "ok"
 	code := http.StatusOK
 	if healthy == 0 {
-		status = "unavailable"
+		resp.Status = "unavailable"
 		code = http.StatusServiceUnavailable
 	}
-	resp := map[string]any{
-		"status":           status,
-		"fingerprint":      expect,
-		"nodes":            nodes,
-		"healthy_replicas": healthy,
-		"replicas":         statuses,
-	}
-	if fleetGraphs != nil {
-		resp["graphs"] = fleetGraphs
-	}
-	writeJSON(w, code, resp)
-}
-
-// healthSnapshot extracts the per-replica health bits for /metrics.
-func (rt *Router) healthSnapshot() []replicaHealth {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make([]replicaHealth, len(rt.replicas))
-	for i, rep := range rt.replicas {
-		out[i] = replicaHealth{url: rep.url, healthy: rep.state == stateHealthy}
-	}
-	return out
+	api.WriteJSON(w, code, resp)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(rt.met.Prometheus(rt.healthSnapshot())))
+	_ = rt.met.WritePrometheus(w)
 }

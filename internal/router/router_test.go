@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/graphgen"
 	"tcstudy/internal/obsv"
@@ -53,7 +54,7 @@ func newFleetRouter(t *testing.T, opts Options, urls ...string) (*Router, *httpt
 	return rt, ts
 }
 
-func postRouterQuery(t *testing.T, url string, body any) (*http.Response, queryResponse) {
+func postRouterQuery(t *testing.T, url string, body any) (*http.Response, api.QueryResponse) {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -64,7 +65,7 @@ func postRouterQuery(t *testing.T, url string, body any) (*http.Response, queryR
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr queryResponse
+	var qr api.QueryResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			t.Fatal(err)
@@ -131,7 +132,7 @@ func TestRouterScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wresp.Body.Close()
-	var want shardResponse
+	var want api.QueryResponse
 	if err := json.NewDecoder(wresp.Body).Decode(&want); err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +524,7 @@ func TestRouterPartialFailureMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wresp.Body.Close()
-	var want shardResponse
+	var want api.QueryResponse
 	if err := json.NewDecoder(wresp.Body).Decode(&want); err != nil {
 		t.Fatal(err)
 	}

@@ -7,36 +7,9 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"tcstudy/internal/api"
 )
-
-// maxArcBody mirrors tcserve's mutation-batch body bound.
-const maxArcBody = 1 << 20
-
-// replicaArcResponse mirrors tcserve's POST /v1/arc reply.
-type replicaArcResponse struct {
-	Seq         int64  `json:"seq"`
-	Applied     int    `json:"applied"`
-	Noops       int    `json:"noops"`
-	Merged      int    `json:"merged_components,omitempty"`
-	Rebuilding  bool   `json:"rebuilding"`
-	Generation  int64  `json:"generation"`
-	Pending     int    `json:"pending"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-// arcRouterResponse is the router's gathered write reply: the replicas'
-// (agreeing) batch outcome plus the fan-out accounting.
-type arcRouterResponse struct {
-	Seq         int64   `json:"seq"`
-	Applied     int     `json:"applied"`
-	Noops       int     `json:"noops"`
-	Merged      int     `json:"merged_components,omitempty"`
-	Rebuilding  bool    `json:"rebuilding"` // any replica still folding the batch in
-	Fingerprint string  `json:"fingerprint"`
-	Replicas    int     `json:"replicas"` // replicas that acknowledged the batch
-	Retries     int     `json:"retries,omitempty"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-}
 
 // handleArc fans one mutation batch out to EVERY enrolled replica — reads
 // scatter for throughput, writes replicate for consistency. The batch
@@ -49,10 +22,9 @@ type arcRouterResponse struct {
 func (rt *Router) handleArc(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rt.met.ArcWrites.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxArcBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxArcBody))
 	if err != nil {
-		rt.met.Errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("read mutation batch: %v", err)})
+		rt.badRequest(w, "read mutation batch: %v", err)
 		return
 	}
 
@@ -83,8 +55,8 @@ func (rt *Router) handleArc(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	resp := arcRouterResponse{Replicas: len(targets)}
-	acks := make([]replicaArcResponse, len(targets))
+	resp := api.RouterArcResponse{Replicas: len(targets)}
+	acks := make([]api.ArcResponse, len(targets))
 	okCount, failedIdx := 0, -1
 	for i, out := range outcomes {
 		resp.Retries += out.retries
@@ -97,8 +69,8 @@ func (rt *Router) handleArc(w http.ResponseWriter, r *http.Request) {
 		if err := json.Unmarshal(out.body, &acks[i]); err != nil {
 			rt.met.Errors.Add(1)
 			rt.met.WriteFailures.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]string{
-				"error": fmt.Sprintf("bad write ack from %s: %v", targets[i].url, err),
+			api.WriteJSON(w, http.StatusBadGateway, api.Error{
+				Message: fmt.Sprintf("bad write ack from %s: %v", targets[i].url, err),
 			})
 			return
 		}
@@ -125,10 +97,10 @@ func (rt *Router) handleArc(w http.ResponseWriter, r *http.Request) {
 		if out.err != nil {
 			detail = fmt.Sprintf("replica %s: %v", targets[failedIdx].url, out.err)
 		}
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error": fmt.Sprintf("write acknowledged by %d/%d replicas (%s); resend the batch",
+		api.WriteJSON(w, http.StatusBadGateway, api.Error{
+			Message: fmt.Sprintf("write acknowledged by %d/%d replicas (%s); resend the batch",
 				okCount, len(targets), detail),
-			"transient": true,
+			Transient: true,
 		})
 		return
 	}
@@ -140,8 +112,8 @@ func (rt *Router) handleArc(w http.ResponseWriter, r *http.Request) {
 		if ack.Fingerprint != fp {
 			rt.met.Errors.Add(1)
 			rt.met.WriteFailures.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{
-				"error": fmt.Sprintf("fleet diverged after write: %s reports fingerprint %s, %s reports %s",
+			api.WriteJSON(w, http.StatusBadGateway, api.Error{
+				Message: fmt.Sprintf("fleet diverged after write: %s reports fingerprint %s, %s reports %s",
 					targets[0].url, fp, targets[i].url, ack.Fingerprint),
 			})
 			return
@@ -161,14 +133,14 @@ func (rt *Router) handleArc(w http.ResponseWriter, r *http.Request) {
 
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	rt.met.ObserveLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // adoptAcks re-pins the fleet fingerprint and per-replica write positions
 // from the replicas that acknowledged a batch. Acks are adopted only when
 // every acking replica reports the same fingerprint; an empty ack slot
 // (the replica's sub-request failed) is skipped.
-func (rt *Router) adoptAcks(targets []*replica, acks []replicaArcResponse) {
+func (rt *Router) adoptAcks(targets []*replica, acks []api.ArcResponse) {
 	fp := ""
 	for _, ack := range acks {
 		if ack.Fingerprint == "" {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/dynamic"
 	"tcstudy/internal/graph"
@@ -50,14 +51,14 @@ func newDynamicReplica(t *testing.T, nodes int, seed int64) *httptest.Server {
 }
 
 // postArcDirect sends one mutation batch straight to a replica.
-func postArcDirect(t *testing.T, base, body string) (int, replicaArcResponse) {
+func postArcDirect(t *testing.T, base, body string) (int, api.ArcResponse) {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/arc", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ar replicaArcResponse
+	var ar api.ArcResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
 			t.Fatal(err)
@@ -134,7 +135,7 @@ func TestRouterWriteFanout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ar arcRouterResponse
+		var ar api.RouterArcResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
 			t.Fatal(err)
 		}

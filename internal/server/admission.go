@@ -75,26 +75,9 @@ func (d *dispatcher) TenantQueueDepth(tenant string) int {
 // QueueCap is the per-tenant admission queue capacity.
 func (d *dispatcher) QueueCap() int { return d.depth }
 
-// defaultTenant is the queue name single-graph servers submit to.
-const defaultTenant = "default"
-
-// newDispatcher builds a dispatcher executing batches with
-// core.RunConcurrent, with one bounded queue per tenant name.
-func newDispatcher(tenants []string, workers, queueDepth int) *dispatcher {
-	return newDispatcherMulti(func(db *core.Database, reqs []core.Request) []core.Response {
-		return core.RunConcurrent(db, reqs)
-	}, tenants, workers, queueDepth)
-}
-
-// newDispatcherFunc allows tests to substitute the batch executor; it
-// serves the single default tenant.
-func newDispatcherFunc(exec func([]core.Request) []core.Response, workers, queueDepth int) *dispatcher {
-	return newDispatcherMulti(func(_ *core.Database, reqs []core.Request) []core.Response {
-		return exec(reqs)
-	}, []string{defaultTenant}, workers, queueDepth)
-}
-
-func newDispatcherMulti(exec func(*core.Database, []core.Request) []core.Response, tenants []string, workers, queueDepth int) *dispatcher {
+// newDispatcher builds a dispatcher with one bounded queue per tenant
+// name, executing batches with exec (core.RunConcurrent outside tests).
+func newDispatcher(exec func(*core.Database, []core.Request) []core.Response, tenants []string, workers, queueDepth int) *dispatcher {
 	if workers < 1 {
 		workers = 1
 	}
@@ -115,11 +98,6 @@ func newDispatcherMulti(exec func(*core.Database, []core.Request) []core.Respons
 	}
 	go d.loop()
 	return d
-}
-
-// Submit admits one query for the default tenant. See SubmitTenant.
-func (d *dispatcher) Submit(ctx context.Context, req core.Request) (*core.Result, error) {
-	return d.SubmitTenant(ctx, defaultTenant, nil, req)
 }
 
 // SubmitTenant admits one query into the named tenant's queue and blocks

@@ -7,8 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 )
+
+// newTestDispatcher serves the single default tenant with a substitute
+// batch executor that needs no database.
+func newTestDispatcher(exec func([]core.Request) []core.Response, workers, queueDepth int) *dispatcher {
+	return newDispatcher(func(_ *core.Database, reqs []core.Request) []core.Response {
+		return exec(reqs)
+	}, []string{api.DefaultGraph}, workers, queueDepth)
+}
 
 // blockingExec is a controllable batch executor: each call signals started
 // and waits for release, recording the batch it received.
@@ -51,12 +60,12 @@ func (b *blockingExec) batchSizes() []int {
 
 func TestDispatcherSaturation(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcherFunc(ex.exec, 1, 1)
+	d := newTestDispatcher(ex.exec, 1, 1)
 	defer func() { close(ex.release); d.Close() }()
 
 	results := make(chan error, 2)
 	submit := func() {
-		_, err := d.Submit(context.Background(), core.Request{Alg: core.SRCH})
+		_, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH})
 		results <- err
 	}
 	// First job enters the (size-1) batch.
@@ -66,23 +75,23 @@ func TestDispatcherSaturation(t *testing.T) {
 	go submit()
 	waitQueue(t, d, 1)
 	// Third submission finds the queue full: immediate rejection.
-	if _, err := d.Submit(context.Background(), core.Request{Alg: core.SRCH}); !errors.Is(err, ErrSaturated) {
+	if _, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("full queue returned %v, want ErrSaturated", err)
 	}
 }
 
 func TestDispatcherQueueTimeout(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcherFunc(ex.exec, 1, 4)
+	d := newTestDispatcher(ex.exec, 1, 4)
 	defer func() { close(ex.release); d.Close() }()
 
-	go d.Submit(context.Background(), core.Request{Alg: core.SRCH}) //nolint:errcheck
+	go d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}) //nolint:errcheck
 	<-ex.started
 
 	// A queued job whose deadline expires is answered without execution.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := d.Submit(ctx, core.Request{Alg: core.BTC})
+	_, err := d.SubmitTenant(ctx, api.DefaultGraph, nil, core.Request{Alg: core.BTC})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued job returned %v, want deadline exceeded", err)
 	}
@@ -90,19 +99,19 @@ func TestDispatcherQueueTimeout(t *testing.T) {
 
 func TestDispatcherSkipsExpiredJobs(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcherFunc(ex.exec, 4, 8)
+	d := newTestDispatcher(ex.exec, 4, 8)
 
 	// Block the loop with one live job.
-	go d.Submit(context.Background(), core.Request{Alg: core.SRCH}) //nolint:errcheck
+	go d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}) //nolint:errcheck
 	<-ex.started
 
 	// Queue one already-cancelled job and one live one.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	go d.Submit(cancelled, core.Request{Alg: core.BTC}) //nolint:errcheck
+	go d.SubmitTenant(cancelled, api.DefaultGraph, nil, core.Request{Alg: core.BTC}) //nolint:errcheck
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Submit(context.Background(), core.Request{Alg: core.BJ})
+		_, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.BJ})
 		done <- err
 	}()
 	waitQueue(t, d, 2)
@@ -128,7 +137,7 @@ func TestDispatcherSkipsExpiredJobs(t *testing.T) {
 
 func TestDispatcherBatchesUpToWorkerLimit(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcherFunc(ex.exec, 3, 16)
+	d := newTestDispatcher(ex.exec, 3, 16)
 
 	// Hold the loop in a first batch, then queue five more jobs.
 	var wg sync.WaitGroup
@@ -136,7 +145,7 @@ func TestDispatcherBatchesUpToWorkerLimit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := d.Submit(context.Background(), core.Request{Alg: core.SRCH}); err != nil {
+			if _, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}()
@@ -169,7 +178,7 @@ func TestDispatcherBatchesUpToWorkerLimit(t *testing.T) {
 
 func TestDispatcherDrainsOnClose(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcherFunc(ex.exec, 2, 8)
+	d := newTestDispatcher(ex.exec, 2, 8)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -177,7 +186,7 @@ func TestDispatcherDrainsOnClose(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := d.Submit(context.Background(), core.Request{Alg: core.SRCH})
+			_, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH})
 			errs <- err
 		}()
 	}
@@ -202,7 +211,7 @@ func TestDispatcherDrainsOnClose(t *testing.T) {
 		}
 	}
 	// After close, admission refuses.
-	if _, err := d.Submit(context.Background(), core.Request{Alg: core.SRCH}); !errors.Is(err, ErrClosed) {
+	if _, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed dispatcher returned %v, want ErrClosed", err)
 	}
 }
@@ -225,7 +234,7 @@ func waitQueue(t *testing.T, d *dispatcher, want int) {
 // B's lone job must run in the very next batch.
 func TestDispatcherTenantFairness(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcherMulti(func(_ *core.Database, reqs []core.Request) []core.Response {
+	d := newDispatcher(func(_ *core.Database, reqs []core.Request) []core.Response {
 		return ex.exec(reqs)
 	}, []string{"a", "b"}, 1, 8)
 
@@ -278,7 +287,7 @@ func TestDispatcherTenantFairness(t *testing.T) {
 // one tenant's full queue rejects only that tenant.
 func TestDispatcherPerTenantSaturation(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcherMulti(func(_ *core.Database, reqs []core.Request) []core.Response {
+	d := newDispatcher(func(_ *core.Database, reqs []core.Request) []core.Response {
 		return ex.exec(reqs)
 	}, []string{"a", "b"}, 1, 1)
 	defer func() { close(ex.release); d.Close() }()

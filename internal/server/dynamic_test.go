@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/dynamic"
 	"tcstudy/internal/graph"
@@ -51,14 +52,14 @@ func newDynamicServer(t *testing.T, nodes int, opts dynamic.Options) (*Server, s
 	return s, ts.URL, dyn
 }
 
-func postArc(t *testing.T, url, body string) (*http.Response, arcResponse) {
+func postArc(t *testing.T, url, body string) (*http.Response, api.ArcResponse) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/arc", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ar arcResponse
+	var ar api.ArcResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
 			t.Fatal(err)
@@ -67,9 +68,9 @@ func postArc(t *testing.T, url, body string) (*http.Response, arcResponse) {
 	return resp, ar
 }
 
-func reachDyn(t *testing.T, url string, src, dst int32) reachResponse {
+func reachDyn(t *testing.T, url string, src, dst int32) api.ReachResponse {
 	t.Helper()
-	var rr reachResponse
+	var rr api.ReachResponse
 	if code := getJSON(t, fmt.Sprintf("%s/v1/reach?src=%d&dst=%d", url, src, dst), &rr); code != http.StatusOK {
 		t.Fatalf("reach %d->%d: status %d", src, dst, code)
 	}
@@ -170,7 +171,7 @@ func TestArcShrinkingDeleteServesOverlayThenRebuilds(t *testing.T) {
 
 	// Find a non-redundant arc: deleting it shrinks the closure, so the
 	// service goes dirty and answers from the overlay until rebuilt.
-	var ar arcResponse
+	var ar api.ArcResponse
 	found := false
 	for _, a := range dyn.Arcs() {
 		resp, r := postArc(t, url, fmt.Sprintf(`{"ops":[{"op":"delete","from":%d,"to":%d}]}`, a.From, a.To))
@@ -206,7 +207,7 @@ func TestArcShrinkingDeleteServesOverlayThenRebuilds(t *testing.T) {
 	if dynBlock["rebuilding"] != true {
 		t.Fatalf("healthz dynamic block %v, want rebuilding true", dynBlock)
 	}
-	if got := s.met.Prometheus(0, 0, s.indexState()); !strings.Contains(got, "tc_index_stale 1") {
+	if got := promText(s); !strings.Contains(got, "tc_index_stale 1") {
 		t.Fatalf("metrics missing tc_index_stale 1:\n%s", got)
 	}
 
@@ -337,7 +338,7 @@ func TestArcMetricsAndBodyLimit(t *testing.T) {
 	}
 	reachDyn(t, url, 1, 50)
 
-	got := s.met.Prometheus(0, 0, s.indexState())
+	got := promText(s)
 	for _, want := range []string{
 		`tc_requests_total{endpoint="arc"} 1`,
 		"tc_mutations_total 1",
@@ -351,7 +352,7 @@ func TestArcMetricsAndBodyLimit(t *testing.T) {
 	}
 
 	// An over-sized body is rejected up front, not half-parsed.
-	huge := bytes.Repeat([]byte("x"), maxArcBody+1)
+	huge := bytes.Repeat([]byte("x"), api.MaxArcBody+1)
 	resp, err := http.Post(url+"/v1/arc", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

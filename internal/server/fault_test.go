@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/faultdisk"
 	"tcstudy/internal/graphgen"
@@ -98,7 +99,7 @@ func TestQueryStorageFaultIs503ThenRecovers(t *testing.T) {
 		t.Errorf("node 57 has %d successors, engine says %d", got, len(want.Successors[57]))
 	}
 
-	var snap Snapshot
+	var snap api.Snapshot
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &snap); code != http.StatusOK {
 		t.Fatalf("/metrics returned %d", code)
 	}
@@ -135,7 +136,7 @@ func TestValidationStays400UnderFaults(t *testing.T) {
 		t.Fatalf("well-formed query under p(read fail)=1 returned %d, want 503 (body %v)", status, m)
 	}
 
-	var snap Snapshot
+	var snap api.Snapshot
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &snap); code != http.StatusOK {
 		t.Fatalf("/metrics returned %d", code)
 	}

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/obsv"
 	"tcstudy/internal/planner"
@@ -13,7 +15,9 @@ import (
 
 // Metrics is the server's live counter set, exported by the /metrics
 // endpoint in Prometheus text exposition format (JSON remains available via
-// ?format=json). Counters are lock-free atomics; latency quantiles come
+// ?format=json). Every family is declared once, in newMetrics, against an
+// obsv.Registry; the fields below are the handles the request paths update
+// — lock-free atomics resolved at construction. Latency quantiles come
 // from a mutex-guarded ring of recent request latencies, so a snapshot is
 // cheap enough to poll while serving traffic. Histograms — request
 // latency, per-algorithm engine phase times, and buffer-pool hit ratio —
@@ -21,61 +25,167 @@ import (
 // across servers.
 type Metrics struct {
 	start time.Time
+	reg   *obsv.Registry
 
 	// Request counters by endpoint.
-	Queries atomic.Int64 // POST /v1/query requests accepted for processing
-	Reaches atomic.Int64 // GET /v1/reach requests accepted for processing
-	Plans   atomic.Int64 // GET /v1/plan requests
+	Queries *atomic.Int64 // POST /v1/query requests accepted for processing
+	Reaches *atomic.Int64 // GET /v1/reach requests accepted for processing
+	Plans   *atomic.Int64 // GET /v1/plan requests
 
 	// ArcWrites counts POST /v1/arc batches accepted; MutationsApplied the
 	// individual ops within them that changed the graph.
-	ArcWrites        atomic.Int64
+	ArcWrites        *atomic.Int64
 	MutationsApplied atomic.Int64
 
 	// Outcome counters.
-	CacheHits       atomic.Int64 // answered straight from the result cache
-	CacheMisses     atomic.Int64 // executed by the engine
-	IndexHits       atomic.Int64 // /v1/reach answered by the reachability index
-	OverlayReads    atomic.Int64 // /v1/reach answered by the delta overlay mid-rebuild
-	EngineFallbacks atomic.Int64 // /v1/reach forced through the engine (index absent or stale)
-	Deduplicated    atomic.Int64 // coalesced onto an identical in-flight query
-	Rejected        atomic.Int64 // 429: admission queue full
-	Timeouts        atomic.Int64 // 504: request deadline expired
-	StorageFaults   atomic.Int64 // 503: transient storage fault under the engine
-	Errors          atomic.Int64 // 4xx validation + other 5xx engine failures
-	SlowQueries     atomic.Int64 // requests over the slow-query threshold
+	CacheHits       *atomic.Int64 // answered straight from the result cache
+	CacheMisses     *atomic.Int64 // executed by the engine
+	IndexHits       *atomic.Int64 // /v1/reach answered by the reachability index
+	OverlayReads    *atomic.Int64 // /v1/reach answered by the delta overlay mid-rebuild
+	EngineFallbacks *atomic.Int64 // /v1/reach forced through the engine (index absent or stale)
+	Deduplicated    *atomic.Int64 // coalesced onto an identical in-flight query
+	Rejected        *atomic.Int64 // 429: admission queue full
+	Timeouts        *atomic.Int64 // 504: request deadline expired
+	StorageFaults   *atomic.Int64 // 503: transient storage fault under the engine
+	Errors          *atomic.Int64 // 4xx validation + other 5xx engine failures
+	SlowQueries     *atomic.Int64 // requests over the slow-query threshold
 
 	// Work served by the engine (cache hits add nothing here — that page
 	// I/O was already paid for by the miss that filled the cache).
-	PagesServed  atomic.Int64 // page I/O of executed queries (the paper's metric)
-	TuplesServed atomic.Int64 // distinct closure tuples materialized
+	PagesServed  *atomic.Int64 // page I/O of executed queries (the paper's metric)
+	TuplesServed *atomic.Int64 // distinct closure tuples materialized
 
 	// InFlight is the number of requests currently being processed.
-	InFlight atomic.Int64
+	InFlight *atomic.Int64
 
 	lat     latencyRing
 	latHist *obsv.Histogram // request latency, seconds
 	ratio   *obsv.Histogram // buffer-pool hit ratio of executed queries
-
-	// Per-(algorithm, phase) engine time histograms, created lazily on the
-	// first execution of each algorithm.
-	phaseMu   sync.Mutex
-	phaseHist map[phaseKey]*obsv.Histogram
+	phase   *obsv.Vec       // engine time by (algorithm, phase); series appear on first execution
 }
 
-type phaseKey struct {
-	alg   string
-	phase string
+// tenantCounters is one tenant's slice of the request counters. The global
+// Metrics counters keep counting everything; these attribute the same
+// events to a named graph for the tenant-labeled metric families.
+type tenantCounters struct {
+	Queries, Reaches, Plans, CacheHits, CacheMisses, Rejected, PagesServed *atomic.Int64
 }
 
-// NewMetrics returns a zeroed metric set with the clock started.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:     time.Now(),
-		latHist:   obsv.NewHistogram(obsv.DurationBuckets()...),
-		ratio:     obsv.NewHistogram(obsv.RatioBuckets()...),
-		phaseHist: make(map[phaseKey]*obsv.Histogram),
+// newMetrics declares every metric family the server exposes, in /metrics
+// order, and resolves the handles the request paths update (the global
+// ones into Metrics, each tenant's into its tenantCounters). Values that
+// belong to other parts of the server — admission queues, the serving
+// index, tenant caches and planners — are read through callbacks at scrape
+// time. Index gauges cover the default tenant; per-tenant index state is
+// in /healthz.
+func newMetrics(s *Server) *Metrics {
+	m := &Metrics{start: time.Now(), reg: obsv.NewRegistry()}
+	r := m.reg
+	count := func(v int) float64 { return float64(v) }
+	r.Gauge("tc_uptime_seconds", "Seconds since the server started.").
+		Func(func() float64 { return time.Since(m.start).Seconds() })
+
+	reqs := r.Counter("tc_requests_total", "Requests accepted for processing, by endpoint.", "endpoint")
+	m.Queries, m.Reaches, m.Plans, m.ArcWrites = reqs.Int("query"), reqs.Int("reach"), reqs.Int("plan"), reqs.Int("arc")
+	m.CacheHits = r.Counter("tc_cache_hits_total", "Queries answered from the result cache.").Int()
+	m.CacheMisses = r.Counter("tc_cache_misses_total", "Queries executed by the engine.").Int()
+	m.IndexHits = r.Counter("tc_index_hits_total", "Reach requests answered by the reachability index.").Int()
+	m.OverlayReads = r.Counter("tc_overlay_reads_total",
+		"Reach requests answered by the delta overlay while a rebuild was in flight.").Int()
+	m.EngineFallbacks = r.Counter("tc_reach_engine_fallback_total",
+		"Reach requests forced through the engine because the index was absent or stale.").Int()
+	m.Deduplicated = r.Counter("tc_deduplicated_total", "Queries coalesced onto an identical in-flight query.").Int()
+	m.Rejected = r.Counter("tc_rejected_total", "Requests rejected with 429 by admission control.").Int()
+	m.Timeouts = r.Counter("tc_timeouts_total", "Requests that exceeded their deadline (504).").Int()
+	m.StorageFaults = r.Counter("tc_storage_faults_total", "Requests failed by a transient storage fault (503).").Int()
+	m.Errors = r.Counter("tc_errors_total", "Validation failures and non-transient engine errors.").Int()
+	m.SlowQueries = r.Counter("tc_slow_queries_total", "Requests over the slow-query threshold.").Int()
+	m.PagesServed = r.Counter("tc_pages_served_total", "Page I/O performed by executed queries.").Int()
+	m.TuplesServed = r.Counter("tc_tuples_served_total", "Distinct closure tuples materialized by executed queries.").Int()
+
+	m.InFlight = r.Gauge("tc_in_flight", "Requests currently being processed.").Int()
+	r.Gauge("tc_admission_queue_depth", "Jobs waiting in the admission queue.").
+		Func(func() float64 { return count(s.disp.QueueDepth()) })
+	r.Gauge("tc_admission_queue_capacity", "Capacity of the admission queue.").
+		Func(func() float64 { return count(s.disp.QueueCap()) })
+
+	// The serving index: the dynamic service when present (live generation,
+	// pending log, merge and rebuild counters), the static index otherwise.
+	var stale func() bool
+	var generation func() int64
+	if dyn := s.def.dyn; dyn != nil {
+		stale = func() bool { return dyn.Stats().Dirty || dyn.Index().Stale() }
+		generation = func() int64 { return dyn.Stats().Generation }
+	} else if idx := s.def.idx; idx != nil {
+		stale, generation = idx.Stale, func() int64 { return int64(idx.Generation()) }
 	}
+	if stale != nil {
+		r.Gauge("tc_index_stale", "1 while reads bypass the sealed index (stale static index or rebuild in flight).").
+			Func(func() float64 {
+				if stale() {
+					return 1
+				}
+				return 0
+			})
+		r.Gauge("tc_index_generation", "Generation of the serving reachability index.").
+			Func(func() float64 { return float64(generation()) })
+	}
+	if dyn := s.def.dyn; dyn != nil {
+		r.Counter("tc_mutations_total", "Individual arc mutations applied to the live graph.").
+			Func(func() float64 { return float64(dyn.Stats().Mutations) })
+		r.Counter("tc_scc_merges_total", "Strongly connected components merged in place by cycle-creating inserts.").
+			Func(func() float64 { return float64(dyn.Stats().Merges) })
+		r.Counter("tc_rebuilds_total", "Background generational index rebuilds completed.").
+			Func(func() float64 { return float64(dyn.Stats().Rebuilds) })
+		r.Gauge("tc_mutation_seq", "Last mutation sequence number assigned.").
+			Func(func() float64 { return float64(dyn.Stats().Seq) })
+		r.Gauge("tc_mutation_pending", "Mutation log batches not yet folded into the sealed index generation.").
+			Func(func() float64 { return count(dyn.Stats().Pending) })
+	}
+
+	treqs := r.Counter("tc_tenant_requests_total", "Requests accepted for processing, by tenant and endpoint.", "tenant", "endpoint")
+	thits := r.Counter("tc_tenant_cache_hits_total", "Queries answered from the tenant's result cache.", "tenant")
+	tmisses := r.Counter("tc_tenant_cache_misses_total", "Tenant queries executed by the engine.", "tenant")
+	trejected := r.Counter("tc_tenant_rejected_total", "Tenant requests rejected with 429 by admission control.", "tenant")
+	tpages := r.Counter("tc_tenant_pages_served_total", "Page I/O performed by the tenant's executed queries.", "tenant")
+	tentries := r.Gauge("tc_tenant_cache_entries", "Entries in the tenant's result cache.", "tenant")
+	tcap := r.Gauge("tc_tenant_cache_capacity", "Capacity of the tenant's result cache (its quota).", "tenant")
+	tqueue := r.Gauge("tc_tenant_queue_depth", "Jobs waiting in the tenant's admission queue.", "tenant")
+	for _, name := range s.names {
+		tn := s.tenants[name]
+		tn.tm = tenantCounters{
+			Queries: treqs.Int(name, "query"), Reaches: treqs.Int(name, "reach"), Plans: treqs.Int(name, "plan"),
+			CacheHits: thits.Int(name), CacheMisses: tmisses.Int(name),
+			Rejected: trejected.Int(name), PagesServed: tpages.Int(name),
+		}
+		tentries.Func(func() float64 { return count(tn.cache.Len()) }, name)
+		tcap.Func(func() float64 { return count(s.opts.CacheEntries) }, name)
+		tqueue.Func(func() float64 { return count(s.disp.TenantQueueDepth(name)) }, name)
+	}
+	if !s.opts.StaticPlan {
+		plan := func(v *obsv.Vec, val func(planner.Stats) float64) {
+			for _, name := range s.names {
+				adapt := s.tenants[name].adapt
+				v.Func(func() float64 { return val(adapt.Stats()) }, name)
+			}
+		}
+		plan(r.Counter("tc_planner_decisions_total", "Executed queries whose algorithm choice was scored against observed evidence.", "tenant"),
+			func(p planner.Stats) float64 { return float64(p.Decisions) })
+		plan(r.Counter("tc_planner_hits_total", "Scored decisions where the blended winner was the evidence-fastest algorithm.", "tenant"),
+			func(p planner.Stats) float64 { return float64(p.Hits) })
+		plan(r.Counter("tc_planner_explorations_total", "Plan rankings that promoted a cold candidate (epsilon-greedy).", "tenant"),
+			func(p planner.Stats) float64 { return float64(p.Explorations) })
+		plan(r.Counter("tc_planner_observations_total", "Executed queries folded into the planner's observation store.", "tenant"),
+			func(p planner.Stats) float64 { return float64(p.Observations) })
+		plan(r.Gauge("tc_planner_hit_rate", "Rolling fraction of scored decisions where the planner picked the evidence-fastest algorithm.", "tenant"),
+			func(p planner.Stats) float64 { return p.HitRate })
+	}
+
+	m.latHist = r.Histogram("tc_request_duration_seconds", "End-to-end request latency.", obsv.DurationBuckets()).Hist()
+	m.ratio = r.Histogram("tc_buffer_hit_ratio", "Compute-phase buffer-pool hit ratio of executed queries.", obsv.RatioBuckets()).Hist()
+	m.phase = r.Histogram("tc_engine_phase_seconds", "Engine phase wall time by algorithm and phase.",
+		obsv.DurationBuckets(), "algorithm", "phase")
+	return m
 }
 
 // ObserveLatency records one served request's latency.
@@ -88,79 +198,31 @@ func (m *Metrics) ObserveLatency(d time.Duration) {
 // (non-cached) query: phase wall times per algorithm and the compute-phase
 // buffer hit ratio.
 func (m *Metrics) ObserveEngine(alg string, em core.Metrics) {
-	m.phase(alg, "restructure").Observe(em.RestructureTime.Seconds())
-	m.phase(alg, "compute").Observe(em.ComputeTime.Seconds())
+	m.phase.Hist(alg, "restructure").Observe(em.RestructureTime.Seconds())
+	m.phase.Hist(alg, "compute").Observe(em.ComputeTime.Seconds())
 	if em.ComputeBuffer.Hits+em.ComputeBuffer.Misses > 0 {
 		m.ratio.Observe(em.ComputeBuffer.HitRatio())
 	}
 }
 
-func (m *Metrics) phase(alg, phase string) *obsv.Histogram {
-	k := phaseKey{alg, phase}
-	m.phaseMu.Lock()
-	h := m.phaseHist[k]
-	if h == nil {
-		h = obsv.NewHistogram(obsv.DurationBuckets()...)
-		m.phaseHist[k] = h
-	}
-	m.phaseMu.Unlock()
-	return h
-}
+// WritePrometheus renders the metric set in text exposition format.
+func (m *Metrics) WritePrometheus(w io.Writer) error { return m.reg.WritePrometheus(w) }
 
-// Snapshot is the JSON shape of /metrics?format=json.
-type Snapshot struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	QPS           float64 `json:"qps"` // completed requests / uptime
+// Families lists the declared metric families in /metrics order.
+func (m *Metrics) Families() []string { return m.reg.Names() }
 
-	Queries   int64 `json:"queries"`
-	Reaches   int64 `json:"reaches"`
-	Plans     int64 `json:"plans"`
-	ArcWrites int64 `json:"arc_writes,omitempty"`
-
-	CacheHits        int64   `json:"cache_hits"`
-	CacheMisses      int64   `json:"cache_misses"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
-	IndexHits        int64   `json:"index_hits"`
-	OverlayReads     int64   `json:"overlay_reads,omitempty"`
-	MutationsApplied int64   `json:"mutations_applied,omitempty"`
-	EngineFallbacks  int64   `json:"engine_fallbacks"`
-	Deduplicated     int64   `json:"deduplicated"`
-	Rejected         int64   `json:"rejected"`
-	Timeouts         int64   `json:"timeouts"`
-	StorageFaults    int64   `json:"storage_faults"`
-	Errors           int64   `json:"errors"`
-	SlowQueries      int64   `json:"slow_queries"`
-
-	PagesServed  int64 `json:"pages_served"`
-	TuplesServed int64 `json:"tuples_served"`
-	InFlight     int64 `json:"in_flight"`
-
-	LatencyMS LatencyQuantiles `json:"latency_ms"`
-}
-
-// LatencyQuantiles reports quantiles over the recent-latency window, in
-// milliseconds.
-type LatencyQuantiles struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// Snapshot captures the current counter values.
-func (m *Metrics) Snapshot() Snapshot {
+// Snapshot captures the current counter values in the JSON shape of
+// /metrics?format=json.
+func (m *Metrics) Snapshot() api.Snapshot {
 	up := time.Since(m.start).Seconds()
-	hits, misses := m.CacheHits.Load(), m.CacheMisses.Load()
-	completed := m.Queries.Load() + m.Reaches.Load() + m.Plans.Load()
-	s := Snapshot{
+	s := api.Snapshot{
 		UptimeSeconds:    up,
 		Queries:          m.Queries.Load(),
 		Reaches:          m.Reaches.Load(),
 		Plans:            m.Plans.Load(),
 		ArcWrites:        m.ArcWrites.Load(),
-		CacheHits:        hits,
-		CacheMisses:      misses,
+		CacheHits:        m.CacheHits.Load(),
+		CacheMisses:      m.CacheMisses.Load(),
 		IndexHits:        m.IndexHits.Load(),
 		OverlayReads:     m.OverlayReads.Load(),
 		MutationsApplied: m.MutationsApplied.Load(),
@@ -177,246 +239,12 @@ func (m *Metrics) Snapshot() Snapshot {
 		LatencyMS:        m.lat.quantiles(),
 	}
 	if up > 0 {
-		s.QPS = float64(completed) / up
+		s.QPS = float64(s.Queries+s.Reaches+s.Plans) / up
 	}
-	if hits+misses > 0 {
-		s.CacheHitRate = float64(hits) / float64(hits+misses)
+	if s.CacheHits+s.CacheMisses > 0 {
+		s.CacheHitRate = float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
 	}
 	return s
-}
-
-// tenantCounters is one tenant's slice of the request counters. The global
-// Metrics counters keep counting everything; these attribute the same
-// events to a named graph for the tenant-labeled metric families.
-type tenantCounters struct {
-	Queries     atomic.Int64
-	Reaches     atomic.Int64
-	Plans       atomic.Int64
-	CacheHits   atomic.Int64
-	CacheMisses atomic.Int64
-	Rejected    atomic.Int64
-	PagesServed atomic.Int64
-}
-
-// TenantState is the per-scrape snapshot of one tenant, passed into
-// Prometheus by the caller because tenants (caches, queues, planners)
-// belong to the server, not to Metrics.
-type TenantState struct {
-	Name        string
-	Queries     int64
-	Reaches     int64
-	Plans       int64
-	CacheHits   int64
-	CacheMisses int64
-	Rejected    int64
-	PagesServed int64
-	CacheLen    int
-	CacheCap    int
-	QueueDepth  int
-	Adaptive    bool // Planner below is meaningful
-	Planner     planner.Stats
-}
-
-// IndexState is the per-scrape snapshot of the serving reachability index,
-// passed into Prometheus by the caller because the index (static or
-// dynamic) belongs to the server, not to Metrics.
-type IndexState struct {
-	Present    bool  // an index is serving reads
-	Stale      bool  // reads are falling back (engine or overlay)
-	Generation int64 // static: in-place patch count; dynamic: rebuild generation
-	Dynamic    bool  // the fields below are meaningful
-	Seq        int64 // last mutation sequence number assigned
-	Pending    int   // log batches not yet folded into the sealed index
-	Mutations  int64 // individual ops applied since start
-	Merges     int64 // SCC components merged by cycle-creating inserts
-	Rebuilds   int64 // background generational rebuilds completed
-}
-
-// Prometheus renders the metric set in text exposition format. The queue
-// gauges come from the caller because the admission queue belongs to the
-// dispatcher, not to Metrics; likewise the tenant snapshots (the queue
-// capacity is the per-tenant admission bound). When tenant snapshots are
-// supplied, the tenant-labeled tc_tenant_* families are emitted, and the
-// tc_planner_* families for every tenant running an adaptive planner.
-func (m *Metrics) Prometheus(queueDepth, queueCap int, ix IndexState, tenants ...TenantState) string {
-	e := obsv.NewExposition()
-	e.Gauge("tc_uptime_seconds", "Seconds since the server started.",
-		time.Since(m.start).Seconds())
-
-	e.CounterFamily("tc_requests_total", "Requests accepted for processing, by endpoint.")
-	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "arc"}},
-		float64(m.ArcWrites.Load()))
-	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "plan"}},
-		float64(m.Plans.Load()))
-	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "query"}},
-		float64(m.Queries.Load()))
-	e.Sample("tc_requests_total", []obsv.Label{{Name: "endpoint", Value: "reach"}},
-		float64(m.Reaches.Load()))
-
-	e.Counter("tc_cache_hits_total", "Queries answered from the result cache.",
-		float64(m.CacheHits.Load()))
-	e.Counter("tc_cache_misses_total", "Queries executed by the engine.",
-		float64(m.CacheMisses.Load()))
-	e.Counter("tc_index_hits_total", "Reach requests answered by the reachability index.",
-		float64(m.IndexHits.Load()))
-	e.Counter("tc_overlay_reads_total",
-		"Reach requests answered by the delta overlay while a rebuild was in flight.",
-		float64(m.OverlayReads.Load()))
-	e.Counter("tc_reach_engine_fallback_total",
-		"Reach requests forced through the engine because the index was absent or stale.",
-		float64(m.EngineFallbacks.Load()))
-	e.Counter("tc_deduplicated_total", "Queries coalesced onto an identical in-flight query.",
-		float64(m.Deduplicated.Load()))
-	e.Counter("tc_rejected_total", "Requests rejected with 429 by admission control.",
-		float64(m.Rejected.Load()))
-	e.Counter("tc_timeouts_total", "Requests that exceeded their deadline (504).",
-		float64(m.Timeouts.Load()))
-	e.Counter("tc_storage_faults_total", "Requests failed by a transient storage fault (503).",
-		float64(m.StorageFaults.Load()))
-	e.Counter("tc_errors_total", "Validation failures and non-transient engine errors.",
-		float64(m.Errors.Load()))
-	e.Counter("tc_slow_queries_total", "Requests over the slow-query threshold.",
-		float64(m.SlowQueries.Load()))
-	e.Counter("tc_pages_served_total", "Page I/O performed by executed queries.",
-		float64(m.PagesServed.Load()))
-	e.Counter("tc_tuples_served_total", "Distinct closure tuples materialized by executed queries.",
-		float64(m.TuplesServed.Load()))
-
-	e.Gauge("tc_in_flight", "Requests currently being processed.",
-		float64(m.InFlight.Load()))
-	e.GaugeFamily("tc_admission_queue_depth", "Jobs waiting in the admission queue.")
-	e.Sample("tc_admission_queue_depth", nil, float64(queueDepth))
-	e.GaugeFamily("tc_admission_queue_capacity", "Capacity of the admission queue.")
-	e.Sample("tc_admission_queue_capacity", nil, float64(queueCap))
-
-	if ix.Present {
-		stale := 0.0
-		if ix.Stale {
-			stale = 1.0
-		}
-		e.Gauge("tc_index_stale",
-			"1 while reads bypass the sealed index (stale static index or rebuild in flight).",
-			stale)
-		e.Gauge("tc_index_generation", "Generation of the serving reachability index.",
-			float64(ix.Generation))
-	}
-	if ix.Dynamic {
-		e.Counter("tc_mutations_total", "Individual arc mutations applied to the live graph.",
-			float64(ix.Mutations))
-		e.Counter("tc_scc_merges_total",
-			"Strongly connected components merged in place by cycle-creating inserts.",
-			float64(ix.Merges))
-		e.Counter("tc_rebuilds_total", "Background generational index rebuilds completed.",
-			float64(ix.Rebuilds))
-		e.Gauge("tc_mutation_seq", "Last mutation sequence number assigned.",
-			float64(ix.Seq))
-		e.Gauge("tc_mutation_pending",
-			"Mutation log batches not yet folded into the sealed index generation.",
-			float64(ix.Pending))
-	}
-
-	if len(tenants) > 0 {
-		tl := func(name string) []obsv.Label {
-			return []obsv.Label{{Name: "tenant", Value: name}}
-		}
-		te := func(name, endpoint string) []obsv.Label {
-			return []obsv.Label{{Name: "tenant", Value: name}, {Name: "endpoint", Value: endpoint}}
-		}
-		e.CounterFamily("tc_tenant_requests_total",
-			"Requests accepted for processing, by tenant and endpoint.")
-		for _, t := range tenants {
-			e.Sample("tc_tenant_requests_total", te(t.Name, "plan"), float64(t.Plans))
-			e.Sample("tc_tenant_requests_total", te(t.Name, "query"), float64(t.Queries))
-			e.Sample("tc_tenant_requests_total", te(t.Name, "reach"), float64(t.Reaches))
-		}
-		// One family at a time: the text format wants a family's samples in
-		// one group under its HELP/TYPE lines.
-		perTenant := func(typ func(name, help string), name, help string, v func(TenantState) float64) {
-			typ(name, help)
-			for _, t := range tenants {
-				e.Sample(name, tl(t.Name), v(t))
-			}
-		}
-		perTenant(e.CounterFamily, "tc_tenant_cache_hits_total",
-			"Queries answered from the tenant's result cache.",
-			func(t TenantState) float64 { return float64(t.CacheHits) })
-		perTenant(e.CounterFamily, "tc_tenant_cache_misses_total",
-			"Tenant queries executed by the engine.",
-			func(t TenantState) float64 { return float64(t.CacheMisses) })
-		perTenant(e.CounterFamily, "tc_tenant_rejected_total",
-			"Tenant requests rejected with 429 by admission control.",
-			func(t TenantState) float64 { return float64(t.Rejected) })
-		perTenant(e.CounterFamily, "tc_tenant_pages_served_total",
-			"Page I/O performed by the tenant's executed queries.",
-			func(t TenantState) float64 { return float64(t.PagesServed) })
-		perTenant(e.GaugeFamily, "tc_tenant_cache_entries", "Entries in the tenant's result cache.",
-			func(t TenantState) float64 { return float64(t.CacheLen) })
-		perTenant(e.GaugeFamily, "tc_tenant_cache_capacity", "Capacity of the tenant's result cache (its quota).",
-			func(t TenantState) float64 { return float64(t.CacheCap) })
-		perTenant(e.GaugeFamily, "tc_tenant_queue_depth", "Jobs waiting in the tenant's admission queue.",
-			func(t TenantState) float64 { return float64(t.QueueDepth) })
-		adaptive := false
-		for _, t := range tenants {
-			adaptive = adaptive || t.Adaptive
-		}
-		if adaptive {
-			perPlanner := func(typ func(name, help string), name, help string, v func(planner.Stats) float64) {
-				typ(name, help)
-				for _, t := range tenants {
-					if t.Adaptive {
-						e.Sample(name, tl(t.Name), v(t.Planner))
-					}
-				}
-			}
-			perPlanner(e.CounterFamily, "tc_planner_decisions_total",
-				"Executed queries whose algorithm choice was scored against observed evidence.",
-				func(p planner.Stats) float64 { return float64(p.Decisions) })
-			perPlanner(e.CounterFamily, "tc_planner_hits_total",
-				"Scored decisions where the blended winner was the evidence-fastest algorithm.",
-				func(p planner.Stats) float64 { return float64(p.Hits) })
-			perPlanner(e.CounterFamily, "tc_planner_explorations_total",
-				"Plan rankings that promoted a cold candidate (epsilon-greedy).",
-				func(p planner.Stats) float64 { return float64(p.Explorations) })
-			perPlanner(e.CounterFamily, "tc_planner_observations_total",
-				"Executed queries folded into the planner's observation store.",
-				func(p planner.Stats) float64 { return float64(p.Observations) })
-			perPlanner(e.GaugeFamily, "tc_planner_hit_rate",
-				"Rolling fraction of scored decisions where the planner picked the evidence-fastest algorithm.",
-				func(p planner.Stats) float64 { return p.HitRate })
-		}
-	}
-
-	e.HistogramFamily("tc_request_duration_seconds", "End-to-end request latency.")
-	e.Histogram("tc_request_duration_seconds", nil, m.latHist.Snapshot())
-
-	e.HistogramFamily("tc_buffer_hit_ratio",
-		"Compute-phase buffer-pool hit ratio of executed queries.")
-	e.Histogram("tc_buffer_hit_ratio", nil, m.ratio.Snapshot())
-
-	e.HistogramFamily("tc_engine_phase_seconds",
-		"Engine phase wall time by algorithm and phase.")
-	m.phaseMu.Lock()
-	keys := make([]phaseKey, 0, len(m.phaseHist))
-	for k := range m.phaseHist {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].alg != keys[j].alg {
-			return keys[i].alg < keys[j].alg
-		}
-		return keys[i].phase < keys[j].phase
-	})
-	snaps := make([]obsv.HistogramSnapshot, len(keys))
-	for i, k := range keys {
-		snaps[i] = m.phaseHist[k].Snapshot()
-	}
-	m.phaseMu.Unlock()
-	for i, k := range keys {
-		e.Histogram("tc_engine_phase_seconds", []obsv.Label{
-			{Name: "algorithm", Value: k.alg}, {Name: "phase", Value: k.phase},
-		}, snaps[i])
-	}
-	return e.String()
 }
 
 // latencyWindow bounds the quantile computation; at 4096 samples the window
@@ -439,7 +267,7 @@ func (r *latencyRing) add(d time.Duration) {
 	r.mu.Unlock()
 }
 
-func (r *latencyRing) quantiles() LatencyQuantiles {
+func (r *latencyRing) quantiles() api.LatencyQuantiles {
 	r.mu.Lock()
 	n := int(r.total)
 	if n > latencyWindow {
@@ -450,14 +278,14 @@ func (r *latencyRing) quantiles() LatencyQuantiles {
 	total := r.total
 	r.mu.Unlock()
 	if n == 0 {
-		return LatencyQuantiles{}
+		return api.LatencyQuantiles{}
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	at := func(p float64) float64 {
 		i := int(p * float64(n-1))
 		return float64(samples[i]) / float64(time.Millisecond)
 	}
-	return LatencyQuantiles{
+	return api.LatencyQuantiles{
 		Count: total,
 		P50:   at(0.50),
 		P90:   at(0.90),

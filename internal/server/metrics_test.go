@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"tcstudy/internal/api"
 )
 
 func TestMetricsSnapshotCounters(t *testing.T) {
-	m := NewMetrics()
+	s0, _, _ := newTestServer(t, 50, Options{})
+	m := s0.Metrics()
 	m.Queries.Add(3)
 	m.Reaches.Add(2)
 	m.Plans.Add(1)
@@ -31,7 +34,8 @@ func TestMetricsSnapshotCounters(t *testing.T) {
 }
 
 func TestMetricsLatencyQuantiles(t *testing.T) {
-	m := NewMetrics()
+	s0, _, _ := newTestServer(t, 50, Options{})
+	m := s0.Metrics()
 	// 1..100 ms: quantiles are exact order statistics of the window.
 	for i := 1; i <= 100; i++ {
 		m.ObserveLatency(time.Duration(i) * time.Millisecond)
@@ -58,7 +62,8 @@ func TestMetricsLatencyQuantiles(t *testing.T) {
 }
 
 func TestMetricsLatencyWindowWraps(t *testing.T) {
-	m := NewMetrics()
+	s0, _, _ := newTestServer(t, 50, Options{})
+	m := s0.Metrics()
 	// Overfill the ring; the window must keep only recent samples and the
 	// total count must keep the true number.
 	for i := 0; i < latencyWindow+100; i++ {
@@ -74,11 +79,12 @@ func TestMetricsLatencyWindowWraps(t *testing.T) {
 }
 
 func TestMetricsEmptySnapshotMarshals(t *testing.T) {
-	b, err := json.Marshal(NewMetrics().Snapshot())
+	s0, _, _ := newTestServer(t, 50, Options{})
+	b, err := json.Marshal(s0.Metrics().Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var round Snapshot
+	var round api.Snapshot
 	if err := json.Unmarshal(b, &round); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/graphgen"
 	"tcstudy/internal/obsv"
@@ -94,7 +95,7 @@ func TestMultiTenantDifferential(t *testing.T) {
 	}
 
 	// graph= parameter surface, via /v1/reach (identical answers).
-	var rm, rs reachResponse
+	var rm, rs api.ReachResponse
 	if st := getJSON(t, multi.URL+"/v1/reach?graph=deep&src=3&dst=50", &rm); st != http.StatusOK {
 		t.Fatalf("multi reach status %d", st)
 	}
@@ -149,7 +150,7 @@ func TestTenantCacheQuota(t *testing.T) {
 func TestTenantPlannerIsolation(t *testing.T) {
 	s, ts := newTwoTenantServer(t, Options{})
 
-	var before planResponse
+	var before api.PlanResponse
 	if st := getJSON(t, ts.URL+"/v1/plan?graph=deep&sources=1", &before); st != http.StatusOK {
 		t.Fatalf("plan status %d", st)
 	}
@@ -176,7 +177,7 @@ func TestTenantPlannerIsolation(t *testing.T) {
 			}
 		}
 	}
-	var widePlan planResponse
+	var widePlan api.PlanResponse
 	if st := getJSON(t, ts.URL+"/v1/plan?graph=wide&sources=1", &widePlan); st != http.StatusOK {
 		t.Fatalf("wide plan status %d", st)
 	}
@@ -186,7 +187,7 @@ func TestTenantPlannerIsolation(t *testing.T) {
 	}
 
 	// The deep tenant's plan must be byte-for-byte unchanged.
-	var after planResponse
+	var after api.PlanResponse
 	if st := getJSON(t, ts.URL+"/v1/plan?graph=deep&sources=1", &after); st != http.StatusOK {
 		t.Fatalf("plan status %d", st)
 	}
@@ -212,7 +213,7 @@ func TestTwoTenantServing(t *testing.T) {
 		if resp, qr := postQuery(t, ts.URL, body); resp.StatusCode != http.StatusOK || qr.Graph != tenant {
 			t.Fatalf("tenant %s: status %d graph %q", tenant, resp.StatusCode, qr.Graph)
 		}
-		var plan planResponse
+		var plan api.PlanResponse
 		if st := getJSON(t, ts.URL+"/v1/plan?graph="+tenant, &plan); st != http.StatusOK {
 			t.Fatalf("tenant %s: plan status %d", tenant, st)
 		}
@@ -282,7 +283,7 @@ func TestPlanZeroArcGraph(t *testing.T) {
 	defer func() { ts.Close(); s.Close() }()
 
 	for _, mode := range []string{"", "&mode=static"} {
-		var plan planResponse
+		var plan api.PlanResponse
 		if st := getJSON(t, ts.URL+"/v1/plan?sources=1"+mode, &plan); st != http.StatusOK {
 			t.Fatalf("plan status %d (mode %q)", st, mode)
 		}
@@ -308,7 +309,7 @@ func TestPlanZeroArcGraph(t *testing.T) {
 // ?mode=static (same algorithms, same order, blended == static estimate).
 func TestPlanStaticModeMatchesAdaptiveCold(t *testing.T) {
 	_, ts, _ := newTestServer(t, 300, Options{})
-	var static, adaptive planResponse
+	var static, adaptive api.PlanResponse
 	if st := getJSON(t, ts.URL+"/v1/plan?sources=2&mode=static", &static); st != http.StatusOK {
 		t.Fatalf("static plan status %d", st)
 	}

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"tcstudy/internal/obsv"
+
+	"tcstudy/internal/api"
 )
 
 func scrape(t *testing.T, url string) (string, map[string]*obsv.Family) {
@@ -67,7 +69,7 @@ func TestMetricsPrometheusScrape(t *testing.T) {
 
 	// More traffic, then re-scrape: every counter must be monotone.
 	postQuery(t, ts.URL, map[string]any{"algorithm": "warren"})
-	var reach reachResponse
+	var reach api.ReachResponse
 	getJSON(t, ts.URL+"/v1/reach?src=3&dst=9", &reach)
 	_, second := scrape(t, ts.URL)
 	for name, fam := range first {
@@ -97,7 +99,7 @@ func TestMetricsPrometheusScrape(t *testing.T) {
 func TestMetricsJSONFallback(t *testing.T) {
 	_, ts, _ := newTestServer(t, 200, Options{})
 	postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{5}})
-	var snap Snapshot
+	var snap api.Snapshot
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &snap); code != http.StatusOK {
 		t.Fatalf("json metrics returned %d", code)
 	}

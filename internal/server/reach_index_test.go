@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"testing"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
@@ -49,7 +50,7 @@ func TestReachIndexFastPath(t *testing.T) {
 			reachable[v] = true
 		}
 		for dst := int32(1); dst <= nodes; dst += 13 {
-			var rr reachResponse
+			var rr api.ReachResponse
 			if code := getJSON(t, fmt.Sprintf("%s/v1/reach?src=%d&dst=%d", url, src, dst), &rr); code != http.StatusOK {
 				t.Fatalf("status %d", code)
 			}
@@ -107,7 +108,7 @@ func TestReachStaleIndexFallsBackToEngine(t *testing.T) {
 	if err := idx.InsertArc(v, u); err != index.ErrStale {
 		t.Fatalf("closing insert returned %v, want ErrStale", err)
 	}
-	var rr reachResponse
+	var rr api.ReachResponse
 	if code := getJSON(t, fmt.Sprintf("%s/v1/reach?src=%d&dst=%d", url, u, v), &rr); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}

@@ -48,7 +48,7 @@ import (
 	"sync"
 	"time"
 
-	"tcstudy/internal/buffer"
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/dynamic"
 	"tcstudy/internal/graph"
@@ -56,7 +56,6 @@ import (
 	"tcstudy/internal/obsv"
 	"tcstudy/internal/pagedisk"
 	"tcstudy/internal/planner"
-	"tcstudy/internal/slist"
 )
 
 // Options configures a Server. Zero values select the defaults.
@@ -213,7 +212,6 @@ type Server struct {
 	met    *Metrics
 	traces *traceRing
 	mux    *http.ServeMux
-	algs   map[core.Algorithm]bool
 
 	tenants map[string]*tenant
 	names   []string // sorted tenant names (for stable output)
@@ -223,7 +221,7 @@ type Server struct {
 // New builds a server over an already-loaded database, served as the
 // single default tenant.
 func New(db *core.Database, opts Options) *Server {
-	s, err := NewMulti([]NamedGraph{{Name: defaultTenant, DB: db, Index: opts.Index}}, opts)
+	s, err := NewMulti([]NamedGraph{{Name: api.DefaultGraph, DB: db, Index: opts.Index}}, opts)
 	if err != nil {
 		// A single default graph cannot fail multi-tenant validation.
 		panic(err)
@@ -245,16 +243,14 @@ func NewMulti(graphs []NamedGraph, opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:    opts,
-		met:     NewMetrics(),
 		traces:  newTraceRing(opts.TraceBuffer),
 		mux:     http.NewServeMux(),
-		algs:    make(map[core.Algorithm]bool),
 		tenants: make(map[string]*tenant, len(graphs)),
 	}
 	for i, g := range graphs {
 		name := g.Name
 		if name == "" {
-			name = defaultTenant
+			name = api.DefaultGraph
 		}
 		if g.DB == nil {
 			return nil, fmt.Errorf("server: graph %q has no database", name)
@@ -283,10 +279,8 @@ func NewMulti(graphs []NamedGraph, opts Options) (*Server, error) {
 	}
 	sort.Strings(s.names)
 	s.def.dyn = opts.Dynamic
-	s.disp = newDispatcher(s.names, opts.Workers, opts.QueueDepth)
-	for _, a := range core.Algorithms() {
-		s.algs[a] = true
-	}
+	s.disp = newDispatcher(core.RunConcurrent, s.names, opts.Workers, opts.QueueDepth)
+	s.met = newMetrics(s)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/reach", s.handleReach)
 	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
@@ -349,15 +343,6 @@ func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// writeJSON emits one JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // retryAfterMS is the retry hint attached to 503 responses for transient
 // storage faults. The fault is gone the moment the engine retries (the
 // backing store is intact), so the hint only spreads out the retry burst.
@@ -373,12 +358,15 @@ func (s *Server) fail(w http.ResponseWriter, err error) { s.failTenant(w, nil, e
 // failTenant is fail with per-tenant attribution: admission rejections
 // are additionally charged to the rejected tenant's counters.
 func (s *Server) failTenant(w http.ResponseWriter, tn *tenant, err error) {
-	status := http.StatusInternalServerError
+	status, msg := http.StatusInternalServerError, err.Error()
 	transient := false
 	var he *httpError
+	var invalid *core.InvalidInputError
 	switch {
 	case errors.As(err, &he):
 		status = he.status
+	case errors.As(err, &invalid):
+		status, msg = http.StatusBadRequest, invalid.Reason
 	case errors.Is(err, ErrSaturated):
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
@@ -411,15 +399,10 @@ func (s *Server) failTenant(w http.ResponseWriter, tn *tenant, err error) {
 	}
 	if transient {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, status, map[string]any{
-			"error":          err.Error(),
-			"transient":      true,
-			"retry":          true,
-			"retry_after_ms": retryAfterMS,
-		})
+		api.WriteJSON(w, status, api.Error{Message: msg, Transient: true, Retry: true, RetryAfterMS: retryAfterMS})
 		return
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	api.WriteJSON(w, status, api.Error{Message: msg})
 }
 
 func isDeadline(err error) bool {
@@ -430,132 +413,10 @@ func isDeadline(err error) bool {
 // request may ask for.
 const maxRequestParallelism = 64
 
-// queryRequest is the body of POST /v1/query. Unset configuration fields
-// inherit the server defaults.
-type queryRequest struct {
-	Algorithm string  `json:"algorithm"`
-	Sources   []int32 `json:"sources"` // empty = full closure
-	// Graph names the tenant on a multi-graph server (the graph= query
-	// parameter takes precedence; empty selects the default tenant).
-	Graph string `json:"graph,omitempty"`
-	// Engine configuration overrides.
-	BufferPages int     `json:"buffer_pages,omitempty"`
-	PagePolicy  string  `json:"page_policy,omitempty"`
-	ListPolicy  string  `json:"list_policy,omitempty"`
-	ILIMIT      float64 `json:"ilimit,omitempty"`
-	// Parallelism partitions a multi-source query's sources across worker
-	// goroutines inside the engine (0 inherits the server default; 1 forces
-	// serial). Bounded server-side to keep one request from monopolizing
-	// the host.
-	Parallelism int `json:"parallelism,omitempty"`
-	// TimeoutMS overrides the server's default request deadline.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// IncludeSuccessors adds the full successor sets to the response
-	// (successor counts are always included).
-	IncludeSuccessors bool `json:"include_successors,omitempty"`
-}
-
-// queryResponse is the reply of POST /v1/query.
-type queryResponse struct {
-	Algorithm       string            `json:"algorithm"`
-	Graph           string            `json:"graph,omitempty"`
-	Sources         []int32           `json:"sources,omitempty"`
-	Cached          bool              `json:"cached"`
-	Deduplicated    bool              `json:"deduplicated"`
-	ElapsedMS       float64           `json:"elapsed_ms"`
-	Metrics         metricRecord      `json:"metrics"`
-	SuccessorCounts map[int32]int     `json:"successor_counts"`
-	Successors      map[int32][]int32 `json:"successors,omitempty"`
-}
-
-// metricRecord is the JSON shape of the paper's full measurement record.
-type metricRecord struct {
-	RestructureReads  int64   `json:"restructure_reads"`
-	RestructureWrites int64   `json:"restructure_writes"`
-	ComputeReads      int64   `json:"compute_reads"`
-	ComputeWrites     int64   `json:"compute_writes"`
-	TotalIO           int64   `json:"total_io"`
-	BufferHits        int64   `json:"buffer_hits"`
-	BufferMisses      int64   `json:"buffer_misses"`
-	BufferEvicts      int64   `json:"buffer_evicts"`
-	BufferHitRatio    float64 `json:"buffer_hit_ratio"`
-
-	TuplesGenerated   int64 `json:"tuples_generated"`
-	Duplicates        int64 `json:"duplicates"`
-	DistinctTuples    int64 `json:"distinct_tuples"`
-	SourceTuples      int64 `json:"source_tuples"`
-	SuccessorsFetched int64 `json:"successors_fetched"`
-	ListUnions        int64 `json:"list_unions"`
-	ArcsConsidered    int64 `json:"arcs_considered"`
-	ArcsMarked        int64 `json:"arcs_marked"`
-
-	MarkingPct          float64 `json:"marking_pct"`
-	SelectionEfficiency float64 `json:"selection_efficiency"`
-	UnmarkedLocality    float64 `json:"unmarked_locality"`
-
-	MagicNodes int64   `json:"magic_nodes,omitempty"`
-	MagicArcs  int64   `json:"magic_arcs,omitempty"`
-	MagicH     float64 `json:"magic_h,omitempty"`
-	MagicW     float64 `json:"magic_w,omitempty"`
-
-	PageSplits   int64 `json:"page_splits"`
-	ListsMoved   int64 `json:"lists_moved"`
-	EntriesMoved int64 `json:"entries_moved"`
-	Overflows    int64 `json:"overflows"`
-
-	RestructureMS float64 `json:"restructure_ms"`
-	ComputeMS     float64 `json:"compute_ms"`
-	EstimatedIOMS float64 `json:"estimated_io_ms"`
-}
-
-func newMetricRecord(m core.Metrics) metricRecord {
-	return metricRecord{
-		RestructureReads:    m.Restructure.Reads,
-		RestructureWrites:   m.Restructure.Writes,
-		ComputeReads:        m.Compute.Reads,
-		ComputeWrites:       m.Compute.Writes,
-		TotalIO:             m.TotalIO(),
-		BufferHits:          m.ComputeBuffer.Hits,
-		BufferMisses:        m.ComputeBuffer.Misses,
-		BufferEvicts:        m.ComputeBuffer.Evicts,
-		BufferHitRatio:      m.ComputeBuffer.HitRatio(),
-		TuplesGenerated:     m.TuplesGenerated,
-		Duplicates:          m.Duplicates,
-		DistinctTuples:      m.DistinctTuples,
-		SourceTuples:        m.SourceTuples,
-		SuccessorsFetched:   m.SuccessorsFetched,
-		ListUnions:          m.ListUnions,
-		ArcsConsidered:      m.ArcsConsidered,
-		ArcsMarked:          m.ArcsMarked,
-		MarkingPct:          m.MarkingPct(),
-		SelectionEfficiency: m.SelectionEfficiency(),
-		UnmarkedLocality:    m.AvgUnmarkedLocality(),
-		MagicNodes:          m.MagicNodes,
-		MagicArcs:           m.MagicArcs,
-		MagicH:              m.MagicH,
-		MagicW:              m.MagicW,
-		PageSplits:          m.Store.Splits,
-		ListsMoved:          m.Store.ListsMoved,
-		EntriesMoved:        m.Store.EntriesMoved,
-		Overflows:           m.Store.Overflows,
-		RestructureMS:       float64(m.RestructureTime) / float64(time.Millisecond),
-		ComputeMS:           float64(m.ComputeTime) / float64(time.Millisecond),
-		EstimatedIOMS:       float64(m.EstimatedIOTime()) / float64(time.Millisecond),
-	}
-}
-
-// buildRequest validates a query shape against the tenant's database and
-// fills configuration defaults.
-func (s *Server) buildRequest(tn *tenant, alg string, sources []int32, qr queryRequest) (core.Request, error) {
-	a := core.Algorithm(strings.ToLower(strings.TrimSpace(alg)))
-	if !s.algs[a] {
-		return core.Request{}, badRequest("unknown algorithm %q (have %v)", alg, core.Algorithms())
-	}
-	for _, src := range sources {
-		if src < 1 || src > int32(tn.db.N()) {
-			return core.Request{}, badRequest("source node %d outside 1..%d", src, tn.db.N())
-		}
-	}
+// buildRequest turns a query body into the engine request it asks for:
+// server defaults under the body's overrides, then core's validation and
+// normalisation against the tenant's database.
+func (s *Server) buildRequest(tn *tenant, qr api.QueryRequest) (core.Request, error) {
 	cfg := s.opts.DefaultConfig
 	if qr.BufferPages != 0 {
 		cfg.BufferPages = qr.BufferPages
@@ -576,23 +437,15 @@ func (s *Server) buildRequest(tn *tenant, alg string, sources []int32, qr queryR
 		return core.Request{}, badRequest("parallelism must be between 0 and %d, got %d",
 			maxRequestParallelism, cfg.Parallelism)
 	}
-	if cfg.BufferPages < 4 {
-		return core.Request{}, badRequest("buffer pool must have at least 4 pages, got %d", cfg.BufferPages)
-	}
-	if _, err := buffer.NewPolicy(cfg.PagePolicy, cfg.BufferPages); err != nil {
-		return core.Request{}, badRequest("%v", err)
-	}
-	if _, err := slist.NewListPolicy(cfg.ListPolicy); err != nil {
-		return core.Request{}, badRequest("%v", err)
-	}
-	return core.Request{Alg: a, Query: core.Query{Sources: sources}, Cfg: cfg}, nil
+	alg := core.Algorithm(strings.ToLower(strings.TrimSpace(qr.Algorithm)))
+	return core.Request{Alg: alg, Query: core.Query{Sources: qr.Sources}, Cfg: cfg}.Validate(tn.db)
 }
 
-// cacheKey canonicalizes a request: the source set is sorted and
-// deduplicated (the engine's answer is a per-source map, so order and
-// multiplicity cannot matter), and every config field that changes engine
-// behaviour participates. Caches are per tenant, so the graph name does
-// not participate.
+// cacheKey canonicalizes a validated request: the source set (already free
+// of repeats) is sorted — the engine's answer is a per-source map, so order
+// cannot matter — and every config field that changes engine behaviour
+// participates. Caches are per tenant, so the graph name does not
+// participate.
 func cacheKey(req core.Request) string {
 	srcs := append([]int32(nil), req.Query.Sources...)
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
@@ -601,12 +454,7 @@ func cacheKey(req core.Request) string {
 		req.Alg, req.Cfg.BufferPages, req.Cfg.PagePolicy, req.Cfg.ListPolicy,
 		req.Cfg.ILIMIT, req.Cfg.DisableMarking, req.Cfg.ChargeIndexIO, req.Cfg.DisableClustering,
 		req.Cfg.Parallelism)
-	var last int32 = -1
 	for _, v := range srcs {
-		if v == last {
-			continue
-		}
-		last = v
 		fmt.Fprintf(&b, "%d,", v)
 	}
 	return b.String()
@@ -689,7 +537,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.met.InFlight.Add(1)
 	defer s.met.InFlight.Add(-1)
-	var qr queryRequest
+	var qr api.QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
 		s.fail(w, badRequest("bad request body: %v", err))
 		return
@@ -699,7 +547,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	req, err := s.buildRequest(tn, qr.Algorithm, qr.Sources, qr)
+	req, err := s.buildRequest(tn, qr)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -715,7 +563,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		entry = TraceEntry{
 			Endpoint:  "query",
 			Algorithm: string(req.Alg),
-			Graph:     s.traceGraph(tn),
+			Graph:     s.responseGraph(tn),
 			Sources:   req.Query.Sources,
 			Replay:    replayCommand(s.opts.ReplayArgs, req),
 		}
@@ -736,14 +584,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	entry.Cached, entry.Deduplicated = hit, shared
 	root.Annotate(obsv.KV("cached", hit), obsv.KV("deduplicated", shared))
 	s.finishTrace(tr, root, entry, elapsed)
-	resp := queryResponse{
+	resp := api.QueryResponse{
 		Algorithm:       string(req.Alg),
 		Graph:           s.responseGraph(tn),
 		Sources:         req.Query.Sources,
 		Cached:          hit,
 		Deduplicated:    shared,
 		ElapsedMS:       float64(elapsed) / float64(time.Millisecond),
-		Metrics:         newMetricRecord(res.Metrics),
+		Metrics:         api.RecordOf(res.Metrics),
 		SuccessorCounts: make(map[int32]int, len(res.Successors)),
 	}
 	for node, succ := range res.Successors {
@@ -752,7 +600,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if qr.IncludeSuccessors {
 		resp.Successors = res.Successors
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // responseGraph names the tenant in responses of multi-graph servers;
@@ -762,23 +610,6 @@ func (s *Server) responseGraph(tn *tenant) string {
 		return ""
 	}
 	return tn.name
-}
-
-// traceGraph mirrors responseGraph for trace entries.
-func (s *Server) traceGraph(tn *tenant) string { return s.responseGraph(tn) }
-
-// reachResponse is the reply of GET /v1/reach.
-type reachResponse struct {
-	Src       int32   `json:"src"`
-	Dst       int32   `json:"dst"`
-	Graph     string  `json:"graph,omitempty"`
-	Reachable bool    `json:"reachable"`
-	Cached    bool    `json:"cached"`
-	IndexHit  bool    `json:"index_hit,omitempty"`
-	Overlay   bool    `json:"overlay,omitempty"` // answered by the delta overlay mid-rebuild
-	Seq       int64   `json:"seq,omitempty"`     // mutation sequence the answer reflects
-	ElapsedMS float64 `json:"elapsed_ms"`
-	PageIO    int64   `json:"page_io"` // 0 on a cache hit or index hit
 }
 
 // handleReach answers src->dst reachability. With a loaded reachability
@@ -809,12 +640,8 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		root = tr.Start("reach", obsv.KV("src", src), obsv.KV("dst", dst))
 	}
 	if tn.dyn != nil {
-		if src < 1 || src > int32(tn.dyn.N()) {
-			s.fail(w, badRequest("source node %d outside 1..%d", src, tn.dyn.N()))
-			return
-		}
-		if dst < 1 || dst > int32(tn.dyn.N()) {
-			s.fail(w, badRequest("destination node %d outside 1..%d", dst, tn.dyn.N()))
+		if err := checkReach(src, dst, tn.dyn.N()); err != nil {
+			s.fail(w, err)
 			return
 		}
 		observed := int64(atoiDefault(r.URL.Query().Get("seq"), 0))
@@ -842,7 +669,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		s.finishTrace(tr, root, TraceEntry{
 			Endpoint: "reach", Sources: []int32{src}, IndexHit: hit,
 		}, elapsed)
-		writeJSON(w, http.StatusOK, reachResponse{
+		api.WriteJSON(w, http.StatusOK, api.ReachResponse{
 			Src: src, Dst: dst, Reachable: reachable, IndexHit: hit,
 			Overlay: !hit, Seq: seq,
 			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
@@ -850,12 +677,8 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if tn.idx != nil && !tn.idx.Stale() {
-		if src < 1 || src > int32(tn.db.N()) {
-			s.fail(w, badRequest("source node %d outside 1..%d", src, tn.db.N()))
-			return
-		}
-		if dst < 1 || dst > int32(tn.db.N()) {
-			s.fail(w, badRequest("destination node %d outside 1..%d", dst, tn.db.N()))
+		if err := checkReach(src, dst, tn.db.N()); err != nil {
+			s.fail(w, err)
 			return
 		}
 		probe := root.Child("index-probe")
@@ -870,20 +693,20 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		s.finishTrace(tr, root, TraceEntry{
 			Endpoint: "reach", Sources: []int32{src}, IndexHit: true,
 		}, elapsed)
-		writeJSON(w, http.StatusOK, reachResponse{
+		api.WriteJSON(w, http.StatusOK, api.ReachResponse{
 			Src: src, Dst: dst, Graph: s.responseGraph(tn), Reachable: reachable, IndexHit: true,
 			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 		})
 		return
 	}
 	s.met.EngineFallbacks.Add(1)
-	req, err := s.buildRequest(tn, string(core.SRCH), []int32{src}, queryRequest{})
-	if err != nil {
+	if err := checkReach(src, dst, tn.db.N()); err != nil {
 		s.fail(w, err)
 		return
 	}
-	if dst < 1 || dst > int32(tn.db.N()) {
-		s.fail(w, badRequest("destination node %d outside 1..%d", dst, tn.db.N()))
+	req, err := s.buildRequest(tn, api.QueryRequest{Algorithm: string(core.SRCH), Sources: []int32{src}})
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	var entry TraceEntry
@@ -892,7 +715,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		entry = TraceEntry{
 			Endpoint:  "reach",
 			Algorithm: string(core.SRCH),
-			Graph:     s.traceGraph(tn),
+			Graph:     s.responseGraph(tn),
 			Sources:   []int32{src},
 			Replay:    replayCommand(s.opts.ReplayArgs, req),
 		}
@@ -924,29 +747,11 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	entry.Cached, entry.Deduplicated = hit, shared
 	root.Annotate(obsv.KV("reachable", reachable), obsv.KV("cached", hit))
 	s.finishTrace(tr, root, entry, elapsed)
-	writeJSON(w, http.StatusOK, reachResponse{
+	api.WriteJSON(w, http.StatusOK, api.ReachResponse{
 		Src: src, Dst: dst, Graph: s.responseGraph(tn), Reachable: reachable, Cached: hit,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond), PageIO: io,
 	})
 }
-
-// arcResponse is the reply of POST /v1/arc: where the batch landed in the
-// mutation log and what it did to the index.
-type arcResponse struct {
-	Seq         int64   `json:"seq"`
-	Applied     int     `json:"applied"`
-	Noops       int     `json:"noops"`
-	Merged      int     `json:"merged_components,omitempty"`
-	Rebuilding  bool    `json:"rebuilding"`
-	Generation  int64   `json:"generation"`
-	Pending     int     `json:"pending"`
-	Fingerprint string  `json:"fingerprint"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-}
-
-// maxArcBody bounds a mutation-batch request body. Batches are also capped
-// in op count by the dynamic service; this guards the decoder itself.
-const maxArcBody = 1 << 20
 
 // handleArc applies one mutation batch — inserts and deletes of arcs —
 // against the dynamic graph service. The whole batch is validated before
@@ -957,7 +762,7 @@ func (s *Server) handleArc(w http.ResponseWriter, r *http.Request) {
 	s.met.InFlight.Add(1)
 	defer s.met.InFlight.Add(-1)
 	dyn := s.def.dyn
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxArcBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxArcBody))
 	if err != nil {
 		s.fail(w, badRequest("read mutation batch: %v", err))
 		return
@@ -987,7 +792,7 @@ func (s *Server) handleArc(w http.ResponseWriter, r *http.Request) {
 	s.met.ObserveLatency(elapsed)
 	root.Annotate(obsv.KV("seq", res.Seq), obsv.KV("applied", res.Applied))
 	s.finishTrace(tr, root, TraceEntry{Endpoint: "arc"}, elapsed)
-	writeJSON(w, http.StatusOK, arcResponse{
+	api.WriteJSON(w, http.StatusOK, api.ArcResponse{
 		Seq:         res.Seq,
 		Applied:     res.Applied,
 		Noops:       res.Noops,
@@ -998,53 +803,6 @@ func (s *Server) handleArc(w http.ResponseWriter, r *http.Request) {
 		Fingerprint: fmt.Sprintf("%016x", res.Fingerprint),
 		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
 	})
-}
-
-// planResponse is the reply of GET /v1/plan.
-type planResponse struct {
-	Profile planProfile `json:"profile"`
-	Graph   string      `json:"graph,omitempty"`
-	// Mode is "static" (pure cost-model ranking) or "adaptive" (cost model
-	// blended with the tenant's decayed observation store).
-	Mode      string         `json:"mode,omitempty"`
-	Sources   int            `json:"sources"`
-	BufferM   int            `json:"buffer_pages"`
-	Estimates []planEstimate `json:"estimates"` // cheapest first
-	// Planner is the tenant's rolling decision record (adaptive mode).
-	Planner *planStats `json:"planner,omitempty"`
-}
-
-type planProfile struct {
-	Nodes     int     `json:"nodes"`
-	Arcs      int     `json:"arcs"`
-	H         float64 `json:"h"`
-	W         float64 `json:"w"`
-	AvgDegree float64 `json:"avg_degree"`
-	Reach     float64 `json:"reach"`
-	CondNodes int     `json:"cond_nodes"`
-	CondArcs  int     `json:"cond_arcs"`
-	Density   float64 `json:"cond_density"`
-}
-
-type planEstimate struct {
-	Algorithm string  `json:"algorithm"`
-	IO        float64 `json:"io"`
-	Why       string  `json:"why"`
-	// Adaptive-mode evidence (omitted in static mode and for cold cells).
-	BlendedIO         float64 `json:"blended_io,omitempty"`
-	Samples           float64 `json:"samples,omitempty"`
-	ObservedIO        float64 `json:"observed_io,omitempty"`
-	ObservedLatencyMS float64 `json:"observed_latency_ms,omitempty"`
-	Explored          bool    `json:"explored,omitempty"`
-}
-
-// planStats is the JSON shape of the planner's rolling counters.
-type planStats struct {
-	Decisions    int64   `json:"decisions"`
-	Hits         int64   `json:"hits"`
-	HitRate      float64 `json:"hit_rate"`
-	Explorations int64   `json:"explorations"`
-	Observations int64   `json:"observations"`
 }
 
 // handlePlan ranks the algorithms for the tenant's graph. The statistical
@@ -1071,8 +829,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	m := atoiDefault(r.URL.Query().Get("m"), s.opts.DefaultConfig.BufferPages)
 	static := tn.adapt == nil || r.URL.Query().Get("mode") == "static"
-	resp := planResponse{
-		Profile: planProfile{
+	resp := api.PlanResponse{
+		Profile: api.PlanProfile{
 			Nodes: profile.N, Arcs: profile.Arcs,
 			H: profile.H, W: profile.W,
 			AvgDegree: profile.AvgDegree, Reach: profile.Reach,
@@ -1086,12 +844,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if static {
 		resp.Mode = "static"
 		for _, e := range planner.Estimates(profile, numSources, m) {
-			resp.Estimates = append(resp.Estimates, planEstimate{Algorithm: string(e.Alg), IO: e.IO, Why: e.Why})
+			resp.Estimates = append(resp.Estimates, api.PlanEstimate{Algorithm: string(e.Alg), IO: e.IO, Why: e.Why})
 		}
 	} else {
 		resp.Mode = "adaptive"
 		for _, d := range tn.adapt.Rank(profile, numSources, m) {
-			resp.Estimates = append(resp.Estimates, planEstimate{
+			resp.Estimates = append(resp.Estimates, api.PlanEstimate{
 				Algorithm:         string(d.Alg),
 				IO:                d.IO,
 				Why:               d.Why,
@@ -1103,7 +861,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		st := tn.adapt.Stats()
-		resp.Planner = &planStats{
+		resp.Planner = &api.PlanStats{
 			Decisions:    st.Decisions,
 			Hits:         st.Hits,
 			HitRate:      st.HitRate,
@@ -1113,50 +871,37 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.Plans.Add(1)
 	tn.tm.Plans.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
+}
+
+// indexHealth describes the index serving reads; stale and generation come
+// from whoever owns its lifecycle (the dynamic service, or the index).
+func indexHealth(idx *index.Index, stale bool, generation int64) *api.IndexHealth {
+	return &api.IndexHealth{
+		Arcs: idx.NumArcs(), Builder: idx.Builder(), Chains: idx.Chains(),
+		Generation: generation, Nodes: idx.N(), Stale: stale,
+	}
 }
 
 // healthBlock is one tenant's healthz fragment: graph shape, dataset
 // identity, and the index/dynamic state when present.
-func (tn *tenant) healthBlock() (map[string]any, error) {
+func (tn *tenant) healthBlock() (api.GraphHealth, error) {
 	fp, err := tn.fingerprint()
 	if err != nil {
-		return nil, err
+		return api.GraphHealth{}, err
 	}
-	b := map[string]any{
-		"nodes":       tn.db.N(),
-		"arcs":        tn.db.NumArcs(),
-		"fingerprint": fmt.Sprintf("%016x", fp),
-	}
+	b := api.GraphHealth{Arcs: tn.db.NumArcs(), Fingerprint: fmt.Sprintf("%016x", fp), Nodes: tn.db.N()}
 	if tn.dyn != nil {
 		st := tn.dyn.Stats()
 		cur := tn.dyn.Index()
-		b["arcs"] = st.NumArcs
-		b["index"] = map[string]any{
-			"nodes":      cur.N(),
-			"arcs":       cur.NumArcs(),
-			"stale":      st.Dirty || cur.Stale(),
-			"generation": st.Generation,
-			"chains":     cur.Chains(),
-			"builder":    cur.Builder(),
-		}
-		b["dynamic"] = map[string]any{
-			"seq":        st.Seq,
-			"generation": st.Generation,
-			"pending":    st.Pending,
-			"rebuilding": st.Dirty,
-			"rebuilds":   st.Rebuilds,
-			"mutations":  st.Mutations,
+		b.Arcs = st.NumArcs
+		b.Index = indexHealth(cur, st.Dirty || cur.Stale(), st.Generation)
+		b.Dynamic = &api.DynamicHealth{
+			Generation: st.Generation, Mutations: st.Mutations, Pending: st.Pending,
+			Rebuilding: st.Dirty, Rebuilds: st.Rebuilds, Seq: st.Seq,
 		}
 	} else if tn.idx != nil {
-		b["index"] = map[string]any{
-			"nodes":      tn.idx.N(),
-			"arcs":       tn.idx.NumArcs(),
-			"stale":      tn.idx.Stale(),
-			"generation": tn.idx.Generation(),
-			"chains":     tn.idx.Chains(),
-			"builder":    tn.idx.Builder(),
-		}
+		b.Index = indexHealth(tn.idx, tn.idx.Stale(), int64(tn.idx.Generation()))
 	}
 	return b, nil
 }
@@ -1170,44 +915,34 @@ func (tn *tenant) healthBlock() (map[string]any, error) {
 // top-level fingerprint folding every tenant's identity, so fleets must
 // agree tenant by tenant.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	graphs := make(map[string]any, len(s.names))
+	graphs := make(map[string]api.GraphHealth, len(s.names))
 	for _, name := range s.names {
 		b, err := s.tenants[name].healthBlock()
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]any{
-				"status": "degraded",
-				"error":  fmt.Sprintf("dataset fingerprint (%s): %v", name, err),
+			api.WriteJSON(w, http.StatusInternalServerError, api.Error{
+				Message: fmt.Sprintf("dataset fingerprint (%s): %v", name, err), Status: "degraded",
 			})
 			return
 		}
 		graphs[name] = b
 	}
-	def := graphs[s.def.name].(map[string]any)
-	resp := map[string]any{
-		"status":         "ok",
-		"nodes":          def["nodes"],
-		"arcs":           def["arcs"],
-		"fingerprint":    def["fingerprint"],
-		"uptime_seconds": time.Since(s.met.start).Seconds(),
-	}
-	if idx, ok := def["index"]; ok {
-		resp["index"] = idx
-	}
-	if dyn, ok := def["dynamic"]; ok {
-		resp["dynamic"] = dyn
+	def := graphs[s.def.name]
+	resp := api.Health{
+		Arcs: def.Arcs, Dynamic: def.Dynamic, Fingerprint: def.Fingerprint, Graphs: graphs,
+		Index: def.Index, Nodes: def.Nodes, Status: "ok",
+		UptimeSeconds: time.Since(s.met.start).Seconds(),
 	}
 	if len(s.names) > 1 {
 		// Fold every tenant's identity into the top-level fingerprint: two
 		// multi-graph replicas agree exactly when every named graph agrees.
 		h := fnv.New64a()
 		for _, name := range s.names {
-			fmt.Fprintf(h, "%s=%s\n", name, graphs[name].(map[string]any)["fingerprint"])
+			fmt.Fprintf(h, "%s=%s\n", name, graphs[name].Fingerprint)
 		}
-		resp["fingerprint"] = fmt.Sprintf("%016x", h.Sum64())
-		resp["graph"] = s.def.name
+		resp.Fingerprint = fmt.Sprintf("%016x", h.Sum64())
+		resp.Graph = s.def.name
 	}
-	resp["graphs"] = graphs
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics serves the live counters. The default is Prometheus text
@@ -1215,68 +950,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // JSON snapshot remains available as /metrics?format=json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, s.met.Snapshot())
+		api.WriteJSON(w, http.StatusOK, s.met.Snapshot())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(s.met.Prometheus(s.disp.QueueDepth(), s.disp.QueueCap(), s.indexState(), s.tenantStates()...)))
-}
-
-// tenantStates snapshots every tenant's counters, cache occupancy, queue
-// depth and planner statistics for the metrics exposition.
-func (s *Server) tenantStates() []TenantState {
-	out := make([]TenantState, 0, len(s.names))
-	for _, name := range s.names {
-		tn := s.tenants[name]
-		ts := TenantState{
-			Name:        name,
-			Queries:     tn.tm.Queries.Load(),
-			Reaches:     tn.tm.Reaches.Load(),
-			Plans:       tn.tm.Plans.Load(),
-			CacheHits:   tn.tm.CacheHits.Load(),
-			CacheMisses: tn.tm.CacheMisses.Load(),
-			Rejected:    tn.tm.Rejected.Load(),
-			PagesServed: tn.tm.PagesServed.Load(),
-			CacheLen:    tn.cache.Len(),
-			CacheCap:    s.opts.CacheEntries,
-			QueueDepth:  s.disp.TenantQueueDepth(name),
-		}
-		if tn.adapt != nil {
-			ts.Adaptive = true
-			ts.Planner = tn.adapt.Stats()
-		}
-		out = append(out, ts)
-	}
-	return out
-}
-
-// indexState summarizes the serving index for the metrics exposition: the
-// dynamic service when present (live generation, pending log, merge and
-// rebuild counters), the static index otherwise. Index gauges cover the
-// default tenant; per-tenant index state is in /healthz.
-func (s *Server) indexState() IndexState {
-	if s.def.dyn != nil {
-		st := s.def.dyn.Stats()
-		return IndexState{
-			Present:    true,
-			Dynamic:    true,
-			Stale:      st.Dirty || s.def.dyn.Index().Stale(),
-			Generation: st.Generation,
-			Seq:        st.Seq,
-			Pending:    st.Pending,
-			Mutations:  st.Mutations,
-			Merges:     st.Merges,
-			Rebuilds:   st.Rebuilds,
-		}
-	}
-	if s.def.idx != nil {
-		return IndexState{
-			Present:    true,
-			Stale:      s.def.idx.Stale(),
-			Generation: int64(s.def.idx.Generation()),
-		}
-	}
-	return IndexState{}
+	_ = s.met.WritePrometheus(w)
 }
 
 // handleTraces serves the recent-request trace ring, newest first. With
@@ -1284,10 +962,21 @@ func (s *Server) indexState() IndexState {
 // than an empty list, so a probe can tell "no traffic" from "not
 // recording".
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled": s.traces.enabled(),
-		"traces":  s.traces.snapshot(),
-	})
+	api.WriteJSON(w, http.StatusOK, struct {
+		Enabled bool         `json:"enabled"`
+		Traces  []TraceEntry `json:"traces"`
+	}{s.traces.enabled(), s.traces.snapshot()})
+}
+
+// checkReach range-checks a reach probe's endpoints against an n-node graph.
+func checkReach(src, dst int32, n int) error {
+	if src < 1 || src > int32(n) {
+		return badRequest("source node %d outside 1..%d", src, n)
+	}
+	if dst < 1 || dst > int32(n) {
+		return badRequest("destination node %d outside 1..%d", dst, n)
+	}
+	return nil
 }
 
 func parseNode(v string) (int32, error) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
@@ -32,7 +33,7 @@ func newTestServer(t *testing.T, nodes int, opts Options) (*Server, *httptest.Se
 	return s, ts, db
 }
 
-func postQuery(t *testing.T, url string, body any) (*http.Response, queryResponse) {
+func postQuery(t *testing.T, url string, body any) (*http.Response, api.QueryResponse) {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -43,13 +44,20 @@ func postQuery(t *testing.T, url string, body any) (*http.Response, queryRespons
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr queryResponse
+	var qr api.QueryResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return resp, qr
+}
+
+// promText renders the server's /metrics text exposition.
+func promText(s *Server) string {
+	var b strings.Builder
+	_ = s.met.WritePrometheus(&b)
+	return b.String()
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -131,6 +139,35 @@ func TestRepeatedQueryServedFromCacheWithoutIO(t *testing.T) {
 	}
 }
 
+// TestRepeatedSourcesAnswerLikeTheirSet pins the duplicate-source contract
+// across the cache: the engine runs [5,5] as [5], so whichever spelling
+// fills the cache, the other is served the same counts — not SRCH's
+// successors listed twice.
+func TestRepeatedSourcesAnswerLikeTheirSet(t *testing.T) {
+	_, ts, db := newTestServer(t, 400, Options{})
+	want, err := core.Run(db, core.SRCH, core.Query{Sources: []int32{5}}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, twice := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{5, 5}, "include_successors": true})
+	if resp.StatusCode != http.StatusOK || twice.Cached {
+		t.Fatalf("[5,5]: status %d cached %t", resp.StatusCode, twice.Cached)
+	}
+	resp, once := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{5}, "include_successors": true})
+	if resp.StatusCode != http.StatusOK || !once.Cached {
+		t.Fatalf("[5] after [5,5]: status %d cached %t, want a cache hit", resp.StatusCode, once.Cached)
+	}
+	for name, got := range map[string]api.QueryResponse{"[5,5]": twice, "[5]": once} {
+		if got.SuccessorCounts[5] != len(want.Successors[5]) || len(got.Successors[5]) != len(want.Successors[5]) {
+			t.Errorf("%s: node 5 has %d successors (%d listed), engine says %d",
+				name, got.SuccessorCounts[5], len(got.Successors[5]), len(want.Successors[5]))
+		}
+		if len(got.Sources) != 1 || got.Metrics.DistinctTuples != want.Metrics.DistinctTuples {
+			t.Errorf("%s: echoed sources %v, %d tuples; want [5], %d", name, got.Sources, got.Metrics.DistinctTuples, want.Metrics.DistinctTuples)
+		}
+	}
+}
+
 func TestReachEndpoint(t *testing.T) {
 	// A tiny graph with a known shape: 1->2->3, 4 isolated.
 	db := core.NewDatabase(4, []graph.Arc{{From: 1, To: 2}, {From: 2, To: 3}})
@@ -146,7 +183,7 @@ func TestReachEndpoint(t *testing.T) {
 		{3, 1, false}, {4, 1, false}, {1, 1, false}, // acyclic: no self-reach
 	}
 	for _, c := range cases {
-		var rr reachResponse
+		var rr api.ReachResponse
 		if code := getJSON(t, fmt.Sprintf("%s/v1/reach?src=%d&dst=%d", ts.URL, c.src, c.dst), &rr); code != http.StatusOK {
 			t.Fatalf("reach %d->%d: status %d", c.src, c.dst, code)
 		}
@@ -155,7 +192,7 @@ func TestReachEndpoint(t *testing.T) {
 		}
 	}
 	// A repeated probe from a warm source is a cache hit with zero I/O.
-	var rr reachResponse
+	var rr api.ReachResponse
 	getJSON(t, ts.URL+"/v1/reach?src=1&dst=2", &rr)
 	if !rr.Cached || rr.PageIO != 0 {
 		t.Fatalf("warm reach: cached=%t io=%d", rr.Cached, rr.PageIO)
@@ -164,7 +201,7 @@ func TestReachEndpoint(t *testing.T) {
 
 func TestPlanEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, 400, Options{})
-	var pr planResponse
+	var pr api.PlanResponse
 	if code := getJSON(t, ts.URL+"/v1/plan?sources=3&m=20", &pr); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -199,7 +236,7 @@ func TestPlanEndpoint(t *testing.T) {
 // label its phase histograms with the new algorithm name.
 func TestPlanNamesBitMatrix(t *testing.T) {
 	_, ts, _ := newTestServer(t, 400, Options{})
-	var pr planResponse
+	var pr api.PlanResponse
 	if code := getJSON(t, ts.URL+"/v1/plan?sources=0", &pr); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -287,7 +324,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 
 	postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1}})
-	var snap Snapshot
+	var snap api.Snapshot
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &snap); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
 	}
