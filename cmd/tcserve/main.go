@@ -86,7 +86,7 @@ func main() {
 		l          = flag.Int("l", 200, "generation locality (generated input)")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		dbDir      = flag.String("db", "", "open a saved database directory instead of generating")
-		workers    = flag.Int("workers", 8, "max queries executed concurrently per engine batch")
+		workers    = flag.Int("workers", 8, "engine slots: max queries executing concurrently")
 		queue      = flag.Int("queue", 64, "admission queue depth (full queue rejects with 429)")
 		cacheSize  = flag.Int("cache", 256, "result cache entries")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request deadline")

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"tcstudy/internal/core"
 	"tcstudy/internal/faultdisk"
+	"tcstudy/internal/graphgen"
 	"tcstudy/internal/pagedisk"
 )
 
@@ -288,4 +290,56 @@ func TestDifferentialDuplicateSources(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSessionBesideConcurrentBatches runs a Session and RunConcurrent
+// batches over one database at the same time. Their temp files interleave
+// by ID, so the session must release by ownership: a range sweep would
+// truncate the batches' live files (surfacing as "page out of range", or —
+// with recycled pages — as one query reading another's bytes). Every
+// answer on both sides must equal the oracle's. Run under -race.
+func TestSessionBesideConcurrentBatches(t *testing.T) {
+	c := Case{Seed: 91, Nodes: 150, OutDegree: 5, Locality: 40, BufferPages: 10}
+	g, db, _, err := c.materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := graphgen.SourceSet(c.Nodes, 6, c.Seed+1)
+	want := Oracle(c.Nodes, g.Arcs(), sources)
+	q := core.Query{Sources: sources}
+	const rounds = 6
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var batch []core.Request
+		for _, alg := range Candidates() {
+			batch = append(batch, core.Request{Alg: alg, Query: q, Cfg: c.config()})
+		}
+		for r := 0; r < rounds; r++ {
+			for i, resp := range core.RunConcurrent(db, batch) {
+				if resp.Err != nil {
+					t.Errorf("batch round %d %s: %v", r, batch[i].Alg, resp.Err)
+				} else if err := diff(resp.Result.Successors, want); err != nil {
+					t.Errorf("batch round %d %s: %v", r, batch[i].Alg, err)
+				}
+			}
+		}
+	}()
+	sess, err := core.NewSession(db, c.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		for _, alg := range Candidates() {
+			res, err := sess.Run(alg, q)
+			if err != nil {
+				t.Errorf("session round %d %s: %v", r, alg, err)
+			} else if err := diff(res.Successors, want); err != nil {
+				t.Errorf("session round %d %s: %v", r, alg, err)
+			}
+		}
+	}
+	wg.Wait()
 }

@@ -110,14 +110,17 @@ func RunConcurrent(db *Database, reqs []Request) []Response {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = runOne(db, reqs[i])
+			out[i] = RunOne(db, reqs[i])
 		}(i)
 	}
 	wg.Wait()
 	return out
 }
 
-func runOne(db *Database, r Request) Response {
+// RunOne validates and executes one request with a private buffer pool and
+// private temporary files: the per-request entry under RunConcurrent, safe
+// to call from any number of goroutines over one database.
+func RunOne(db *Database, r Request) Response {
 	r, err := r.Validate(db)
 	if err != nil {
 		return Response{Err: err}

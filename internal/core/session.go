@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tcstudy/internal/buffer"
-	"tcstudy/internal/pagedisk"
 	"tcstudy/internal/slist"
 )
 
@@ -22,9 +21,10 @@ import (
 // runs from a cold pool against the intact database. The only cost of a
 // fault is the lost warmth.
 type Session struct {
-	db   *Database
-	cfg  Config
-	pool *buffer.Pool
+	db    *Database
+	cfg   Config
+	temps *tempTracker // the session's pool allocates through it, so it owns exactly this session's temp files
+	pool  *buffer.Pool
 	// faults counts queries that failed with a storage error and were
 	// recovered from (for tests and operational visibility).
 	faults int64
@@ -40,10 +40,12 @@ func NewSession(db *Database, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	temps := newTempTracker(db.disk)
 	return &Session{
-		db:   db,
-		cfg:  cfg,
-		pool: buffer.New(db.disk, cfg.BufferPages, pagePol),
+		db:    db,
+		cfg:   cfg,
+		temps: temps,
+		pool:  buffer.New(temps, cfg.BufferPages, pagePol),
 	}, nil
 }
 
@@ -63,28 +65,24 @@ func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
 	if q.Sources, err = s.db.normalizeSources(q.Sources); err != nil {
 		return nil, err
 	}
-	baseFiles := s.db.disk.NumFiles()
 	res, err := execute(s.db, s.pool, listPol, alg, q, s.cfg)
 	if err != nil {
 		// The aborted run can leave pages pinned and dirty frames holding
 		// its temporaries. Drop every frame — the base relations are
-		// read-only during queries, so nothing durable is lost — and
-		// release the temporary files. The session stays usable; the next
-		// query simply starts cold.
+		// read-only during queries, so nothing durable is lost. The session
+		// stays usable; the next query simply starts cold.
 		s.faults++
 		s.pool.Reset()
-		for id := baseFiles; id < s.db.disk.NumFiles(); id++ {
-			s.db.disk.Truncate(pagedisk.FileID(id))
-		}
-		return nil, err
 	}
 	// Release this query's temporary files: drop their buffered pages,
-	// then their storage.
-	for id := baseFiles; id < s.db.disk.NumFiles(); id++ {
-		s.pool.DiscardFile(pagedisk.FileID(id))
-		s.db.disk.Truncate(pagedisk.FileID(id))
+	// then their storage. Only files created through the session's tracker
+	// are touched — on a database that is also serving Run or RunConcurrent
+	// traffic, other queries' live temp files interleave with them by ID.
+	for _, id := range s.temps.owned {
+		s.pool.DiscardFile(id)
 	}
-	return res, nil
+	s.temps.release()
+	return res, err
 }
 
 // execute is the engine entry shared by Run and Session.Run: it performs

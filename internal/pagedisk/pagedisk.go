@@ -9,8 +9,11 @@
 // The disk is safe for concurrent use and designed so that adding cores
 // adds throughput:
 //
-//   - the catalog (the file table) is guarded by one RWMutex that is only
-//     write-locked when a file is created;
+//   - the catalog (the file table) is read without any lock: it is an
+//     append-only array published through an atomic pointer, and only file
+//     creation takes a mutex. Every page operation starts with a catalog
+//     lookup, so a reader count shared by all queries would be one cache
+//     line bouncing between every core that runs one;
 //   - each file carries its own lock (lock striping), so queries touching
 //     different files — which is the common case: every query owns its
 //     temporary files exclusively — never contend;
@@ -18,7 +21,13 @@
 //     is immutable: reads take no lock at all, and the View method hands
 //     out stable zero-copy pointers into the shared page storage, which
 //     the buffer pool uses to pin base-relation pages without copying;
-//   - I/O counters are atomics, so accounting never serializes readers.
+//   - I/O counters are atomics, so accounting never serializes readers;
+//   - the pages of a truncated (temporary) file go back to a pool the disk
+//     owns and are handed out again, zeroed, by Allocate, so a stream of
+//     queries reuses one working set of pages instead of faulting in fresh
+//     memory per query. The collector empties the pool, so an idle disk
+//     holds nothing. Sealed files are never truncated: View pointers stay
+//     stable.
 //
 // Each individual query engine remains single-threaded, as the paper's was.
 package pagedisk
@@ -147,12 +156,15 @@ type file struct {
 
 // Disk is a simulated multi-file disk.
 type Disk struct {
-	mu    sync.RWMutex // catalog lock: guards the files slice itself
-	files []*file
+	mu    sync.Mutex              // serializes appends to the catalog
+	files atomic.Pointer[[]*file] // the catalog; entries are never changed or removed once published
 
 	reads  atomic.Int64
 	writes atomic.Int64
 	allocs atomic.Int64
+
+	// free holds the *Page values of truncated files for Allocate to reuse.
+	free sync.Pool
 
 	// Failure injection. The armed flag keeps the hot path lock-free; the
 	// countdown itself is exact under injectMu so tests can pin precise
@@ -167,28 +179,40 @@ var _ ReadOnlyViewer = (*Disk)(nil)
 
 // New returns an empty disk.
 func New() *Disk {
-	return &Disk{failAfter: -1}
+	d := &Disk{failAfter: -1}
+	d.files.Store(new([]*file))
+	return d
 }
 
 // CreateFile adds a new, empty file and returns its ID. The name is used
 // only for diagnostics.
 func (d *Disk) CreateFile(name string) FileID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.files = append(d.files, &file{name: name})
-	return FileID(len(d.files) - 1)
+	return d.addFile(&file{name: name})
 }
 
-// lookup resolves a FileID to its striped file under the catalog read lock.
-// The returned pointer stays valid after the lock is released: files are
-// never removed and the structs are heap-allocated.
+// addFile appends fl to the catalog and publishes the longer catalog. The
+// append may write into spare capacity of the array readers are using, but
+// only past the length any of them has seen.
+func (d *Disk) addFile(fl *file) FileID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	files := append(d.catalog(), fl)
+	d.files.Store(&files)
+	return FileID(len(files) - 1)
+}
+
+// catalog returns the current file table. It takes no lock: the slice it
+// returns is never modified within its length.
+func (d *Disk) catalog() []*file { return *d.files.Load() }
+
+// lookup resolves a FileID to its striped file. The returned pointer stays
+// valid: files are never removed and the structs are heap-allocated.
 func (d *Disk) lookup(f FileID) (*file, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(f) < 0 || int(f) >= len(d.files) {
+	files := d.catalog()
+	if int(f) < 0 || int(f) >= len(files) {
 		return nil, fmt.Errorf("pagedisk: no such file %d", f)
 	}
-	return d.files[f], nil
+	return files[f], nil
 }
 
 // mustLookup is lookup for the methods whose signatures predate error
@@ -207,11 +231,7 @@ func (d *Disk) FileName(f FileID) string {
 }
 
 // NumFiles reports the number of files on the disk.
-func (d *Disk) NumFiles() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.files)
-}
+func (d *Disk) NumFiles() int { return len(d.catalog()) }
 
 // NumPages reports the current length of a file in pages.
 func (d *Disk) NumPages(f FileID) int {
@@ -238,13 +258,20 @@ func (d *Disk) Allocate(f FileID) (PageID, error) {
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	fl.pages = append(fl.pages, new(Page))
+	pg, _ := d.free.Get().(*Page)
+	if pg == nil {
+		pg = new(Page)
+	} else {
+		*pg = Page{}
+	}
+	fl.pages = append(fl.pages, pg)
 	d.allocs.Add(1)
 	return PageID(len(fl.pages) - 1), nil
 }
 
-// Truncate discards all pages of a file. It models dropping a temporary
-// file; no I/O is charged. Truncating a sealed file is a programming error.
+// Truncate discards all pages of a file, handing them to the disk's pool
+// for Allocate to reuse. It models dropping a temporary file; no I/O is
+// charged. Truncating a sealed file is a programming error.
 func (d *Disk) Truncate(f FileID) {
 	fl := d.mustLookup(f)
 	if fl.sealed.Load() {
@@ -252,7 +279,10 @@ func (d *Disk) Truncate(f FileID) {
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	fl.pages = fl.pages[:0]
+	for _, pg := range fl.pages {
+		d.free.Put(pg)
+	}
+	fl.pages = nil
 }
 
 // Seal marks file f immutable. From this point its pages can be read with
@@ -266,10 +296,7 @@ func (d *Disk) Seal(f FileID) {
 // SealAll seals every file currently on the disk — the "database is built,
 // serving starts now" transition.
 func (d *Disk) SealAll() {
-	d.mu.RLock()
-	files := d.files
-	d.mu.RUnlock()
-	for _, fl := range files {
+	for _, fl := range d.catalog() {
 		fl.sealed.Store(true)
 	}
 }

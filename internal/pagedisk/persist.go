@@ -44,10 +44,7 @@ func (d *Disk) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	d.mu.RLock()
-	files := append([]*file(nil), d.files...)
-	d.mu.RUnlock()
-	for id, fl := range files {
+	for id, fl := range d.catalog() {
 		if !fl.sealed.Load() {
 			fl.mu.RLock()
 		}
@@ -126,7 +123,7 @@ func Load(dir string) (*Disk, error) {
 			return nil, fmt.Errorf("pagedisk: loading %s: %w", path, err)
 		}
 	}
-	if len(d.files) == 0 {
+	if d.NumFiles() == 0 {
 		return nil, fmt.Errorf("pagedisk: no snapshot files in %s", dir)
 	}
 	return d, nil
@@ -144,9 +141,7 @@ func (d *Disk) loadFile(path string) error {
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.files = append(d.files, f)
-	d.mu.Unlock()
+	d.addFile(f)
 	// Loading is catalog reconstruction, not simulated I/O.
 	d.ResetStats()
 	return nil

@@ -4,21 +4,21 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"time"
 
 	"tcstudy/internal/core"
 )
 
-// Admission control. The engine's unit of safe concurrency is the
-// core.RunConcurrent batch: queries of one batch run in parallel over one
-// shared database, and each request's temporary files are released the
-// moment that request finishes. The dispatcher serves continuous traffic
-// as a sequence of batches drawn from per-tenant FIFO queues: it picks the
-// next tenant with waiting jobs in round-robin order, fills one batch from
-// that tenant's queue up to the worker limit (a batch never mixes tenants
-// — it runs over a single database), runs it, and repeats. Round-robin
-// across tenants is the fairness guarantee multi-graph serving needs: a
-// tenant flooding its queue delays only its own jobs, never another
-// tenant's turn.
+// Admission control. The engine's unit of safe concurrency is one query:
+// queries run in parallel over one shared, sealed database, each with its
+// own buffer pool and temporary files (core.RunOne). The dispatcher serves
+// continuous traffic through a fixed number of slots fed from per-tenant
+// FIFO queues: whenever a slot is free it takes one job from the next
+// tenant with waiting jobs in round-robin order, runs it, answers it the
+// moment it finishes and takes the next. A slow query therefore holds one
+// slot, never the whole engine. Round-robin across tenants is the fairness
+// guarantee multi-graph serving needs: a tenant flooding its queue delays
+// only its own jobs, never another tenant's turn.
 //
 // Each tenant's queue is bounded separately; a submission finding its
 // tenant's queue full is rejected immediately (HTTP 429), which caps both
@@ -32,33 +32,34 @@ var ErrSaturated = errors.New("server: admission queue full")
 // ErrClosed is returned by Submit after the dispatcher has been closed.
 var ErrClosed = errors.New("server: dispatcher closed")
 
-// job is one admitted query waiting for a batch slot.
+// job is one admitted query waiting for a slot.
 type job struct {
 	req  core.Request
 	db   *core.Database
 	ctx  context.Context
-	done chan core.Response // buffered; the batch loop never blocks on it
+	enq  time.Time
+	done chan core.Response // buffered; a slot never blocks on it
 }
 
 // dispatcher is the bounded worker-pool admission controller.
 type dispatcher struct {
-	exec    func(db *core.Database, reqs []core.Request) []core.Response
-	workers int // max queries per batch, i.e. peak engine concurrency
-	depth   int // per-tenant queue bound
-	done    chan struct{}
-	closing sync.Once
+	exec    func(db *core.Database, req core.Request) core.Response
+	waited  func(time.Duration) // observes enqueue → slot granted
+	workers int                 // slots, i.e. peak engine concurrency
+	depth   int                 // per-tenant queue bound
+	slots   sync.WaitGroup      // live slot goroutines, for the Close drain
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[string][]*job
-	order  []string // round-robin order over tenants
-	rr     int      // next tenant index to consider
-	queued int      // total jobs across all queues
-	closed bool
+	mu       sync.Mutex
+	queues   map[string][]*job
+	order    []string // round-robin order over tenants
+	rr       int      // next tenant index to consider
+	queued   int      // total jobs across all queues
+	inflight int      // slots in use
+	closed   bool
 }
 
 // QueueDepth is the number of jobs currently waiting across all tenant
-// queues (not counting jobs already placed in a running batch).
+// queues (not counting jobs already running in a slot).
 func (d *dispatcher) QueueDepth() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -75,9 +76,17 @@ func (d *dispatcher) TenantQueueDepth(tenant string) int {
 // QueueCap is the per-tenant admission queue capacity.
 func (d *dispatcher) QueueCap() int { return d.depth }
 
+// Inflight is the number of slots currently running a job.
+func (d *dispatcher) Inflight() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inflight
+}
+
 // newDispatcher builds a dispatcher with one bounded queue per tenant
-// name, executing batches with exec (core.RunConcurrent outside tests).
-func newDispatcher(exec func(*core.Database, []core.Request) []core.Response, tenants []string, workers, queueDepth int) *dispatcher {
+// name, executing each job with exec (core.RunOne outside tests) and
+// reporting each job's admission wait to waited.
+func newDispatcher(exec func(*core.Database, core.Request) core.Response, waited func(time.Duration), tenants []string, workers, queueDepth int) *dispatcher {
 	if workers < 1 {
 		workers = 1
 	}
@@ -86,17 +95,15 @@ func newDispatcher(exec func(*core.Database, []core.Request) []core.Response, te
 	}
 	d := &dispatcher{
 		exec:    exec,
+		waited:  waited,
 		workers: workers,
 		depth:   queueDepth,
-		done:    make(chan struct{}),
 		queues:  make(map[string][]*job, len(tenants)),
 		order:   append([]string(nil), tenants...),
 	}
-	d.cond = sync.NewCond(&d.mu)
 	for _, t := range tenants {
 		d.queues[t] = nil
 	}
-	go d.loop()
 	return d
 }
 
@@ -106,7 +113,7 @@ func newDispatcher(exec func(*core.Database, []core.Request) []core.Response, te
 // are not interruptible); its result then lands in the cache for the
 // retry.
 func (d *dispatcher) SubmitTenant(ctx context.Context, tenant string, db *core.Database, req core.Request) (*core.Result, error) {
-	j := &job{req: req, db: db, ctx: ctx, done: make(chan core.Response, 1)}
+	j := &job{req: req, db: db, ctx: ctx, enq: time.Now(), done: make(chan core.Response, 1)}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -123,7 +130,13 @@ func (d *dispatcher) SubmitTenant(ctx context.Context, tenant string, db *core.D
 	}
 	d.queues[tenant] = append(q, j)
 	d.queued++
-	d.cond.Signal()
+	if d.inflight < d.workers {
+		// A free slot takes the job at once; otherwise a busy slot takes it
+		// when it finishes what it is running.
+		d.inflight++
+		d.slots.Add(1)
+		go d.slot()
+	}
 	d.mu.Unlock()
 	select {
 	case resp := <-j.done:
@@ -133,81 +146,50 @@ func (d *dispatcher) SubmitTenant(ctx context.Context, tenant string, db *core.D
 	}
 }
 
-// Close stops admission and waits for every already-queued job to finish:
-// the shutdown drain.
+// Close stops admission and waits for every queued and running job to
+// finish: the shutdown drain.
 func (d *dispatcher) Close() {
-	d.closing.Do(func() {
-		d.mu.Lock()
-		d.closed = true
-		d.cond.Broadcast()
-		d.mu.Unlock()
-	})
-	<-d.done
-}
-
-func (d *dispatcher) loop() {
-	defer close(d.done)
-	for {
-		batch := d.nextBatch()
-		if batch == nil {
-			return
-		}
-		d.run(batch)
-	}
-}
-
-// nextBatch blocks until some tenant has queued jobs, then takes up to the
-// worker limit from the next non-empty tenant queue in round-robin order.
-// After Close it keeps draining whatever is already queued and returns nil
-// only once every queue is empty.
-func (d *dispatcher) nextBatch() []*job {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		for i := 0; i < len(d.order); i++ {
-			name := d.order[(d.rr+i)%len(d.order)]
-			q := d.queues[name]
-			if len(q) == 0 {
-				continue
-			}
-			n := len(q)
-			if n > d.workers {
-				n = d.workers
-			}
-			batch := append([]*job(nil), q[:n]...)
-			d.queues[name] = q[:copy(q, q[n:])]
-			d.queued -= n
-			d.rr = (d.rr + i + 1) % len(d.order)
-			return batch
-		}
-		if d.closed {
-			return nil
-		}
-		d.cond.Wait()
-	}
+	d.closed = true
+	d.mu.Unlock()
+	d.slots.Wait()
 }
 
-// run executes one batch. Jobs whose context expired while queued are
-// answered without touching the engine. All jobs of a batch belong to one
-// tenant and therefore share one database.
-func (d *dispatcher) run(batch []*job) {
-	live := batch[:0]
-	for _, j := range batch {
+// slot is one unit of engine concurrency: it runs waiting jobs one at a
+// time, answering each as it finishes, and frees itself when no job is
+// waiting. Jobs whose context expired while queued are answered without
+// touching the engine.
+func (d *dispatcher) slot() {
+	defer d.slots.Done()
+	for j := d.next(); j != nil; j = d.next() {
 		if err := j.ctx.Err(); err != nil {
 			j.done <- core.Response{Err: err}
 			continue
 		}
-		live = append(live, j)
+		d.waited(time.Since(j.enq))
+		j.done <- d.exec(j.db, j.req)
 	}
-	if len(live) == 0 {
-		return
+}
+
+// next takes the oldest job of the next non-empty tenant queue in
+// round-robin order. With nothing waiting it frees the caller's slot and
+// returns nil; Close keeps draining until that happens on every slot.
+func (d *dispatcher) next() *job {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := range d.order {
+		name := d.order[(d.rr+i)%len(d.order)]
+		q := d.queues[name]
+		if len(q) == 0 {
+			continue
+		}
+		j := q[0]
+		q[0] = nil
+		d.queues[name] = q[1:]
+		d.queued--
+		d.rr = (d.rr + i + 1) % len(d.order)
+		return j
 	}
-	reqs := make([]core.Request, len(live))
-	for i, j := range live {
-		reqs[i] = j.req
-	}
-	resps := d.exec(live[0].db, reqs)
-	for i, j := range live {
-		j.done <- resps[i]
-	}
+	d.inflight--
+	return nil
 }

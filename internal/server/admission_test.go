@@ -12,50 +12,69 @@ import (
 )
 
 // newTestDispatcher serves the single default tenant with a substitute
-// batch executor that needs no database.
-func newTestDispatcher(exec func([]core.Request) []core.Response, workers, queueDepth int) *dispatcher {
-	return newDispatcher(func(_ *core.Database, reqs []core.Request) []core.Response {
-		return exec(reqs)
-	}, []string{api.DefaultGraph}, workers, queueDepth)
+// executor that needs no database.
+func newTestDispatcher(exec func(core.Request) core.Response, workers, queueDepth int) *dispatcher {
+	return newTenantDispatcher(exec, []string{api.DefaultGraph}, workers, queueDepth)
 }
 
-// blockingExec is a controllable batch executor: each call signals started
-// and waits for release, recording the batch it received.
+func newTenantDispatcher(exec func(core.Request) core.Response, tenants []string, workers, queueDepth int) *dispatcher {
+	return newDispatcher(func(_ *core.Database, req core.Request) core.Response { return exec(req) },
+		func(time.Duration) {}, tenants, workers, queueDepth)
+}
+
+// submitDefault submits one job of the given algorithm to the default
+// tenant with a background context.
+func submitDefault(d *dispatcher, alg core.Algorithm) error {
+	_, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: alg})
+	return err
+}
+
+// blockingExec is a controllable executor: each call signals started and
+// waits for one release, recording the request it received and how many
+// calls were running at once.
 type blockingExec struct {
-	mu      sync.Mutex
-	batches [][]core.Request
-	started chan struct{}
-	release chan struct{}
+	mu       sync.Mutex
+	seen     []core.Request // in the order they reached the engine
+	running  int
+	peak     int
+	finished int
+	started  chan struct{}
+	release  chan struct{}
 }
 
 func newBlockingExec() *blockingExec {
 	return &blockingExec{
-		started: make(chan struct{}, 64),
+		started: make(chan struct{}, 64), // more than any test submits: exec never blocks on it
 		release: make(chan struct{}),
 	}
 }
 
-func (b *blockingExec) exec(reqs []core.Request) []core.Response {
+func (b *blockingExec) exec(req core.Request) core.Response {
 	b.mu.Lock()
-	b.batches = append(b.batches, reqs)
+	b.seen = append(b.seen, req)
+	b.running++
+	if b.running > b.peak {
+		b.peak = b.running
+	}
 	b.mu.Unlock()
 	b.started <- struct{}{}
 	<-b.release
-	out := make([]core.Response, len(reqs))
-	for i := range out {
-		out[i] = core.Response{Result: &core.Result{}}
-	}
-	return out
+	b.mu.Lock()
+	b.running--
+	b.finished++
+	b.mu.Unlock()
+	return core.Response{Result: &core.Result{}}
 }
 
-func (b *blockingExec) batchSizes() []int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var sizes []int
-	for _, batch := range b.batches {
-		sizes = append(sizes, len(batch))
+// releaseUntil keeps releasing blocked exec calls until stop is closed.
+func (b *blockingExec) releaseUntil(stop <-chan struct{}) {
+	for {
+		select {
+		case b.release <- struct{}{}:
+		case <-stop:
+			return
+		}
 	}
-	return sizes
 }
 
 func TestDispatcherSaturation(t *testing.T) {
@@ -63,19 +82,14 @@ func TestDispatcherSaturation(t *testing.T) {
 	d := newTestDispatcher(ex.exec, 1, 1)
 	defer func() { close(ex.release); d.Close() }()
 
-	results := make(chan error, 2)
-	submit := func() {
-		_, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH})
-		results <- err
-	}
-	// First job enters the (size-1) batch.
-	go submit()
+	// First job takes the single slot.
+	go submitDefault(d, core.SRCH) //nolint:errcheck
 	<-ex.started
-	// Second job sits in the (depth-1) queue while the batch blocks.
-	go submit()
+	// Second job sits in the (depth-1) queue while the slot is held.
+	go submitDefault(d, core.SRCH) //nolint:errcheck
 	waitQueue(t, d, 1)
 	// Third submission finds the queue full: immediate rejection.
-	if _, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}); !errors.Is(err, ErrSaturated) {
+	if err := submitDefault(d, core.SRCH); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("full queue returned %v, want ErrSaturated", err)
 	}
 }
@@ -85,7 +99,7 @@ func TestDispatcherQueueTimeout(t *testing.T) {
 	d := newTestDispatcher(ex.exec, 1, 4)
 	defer func() { close(ex.release); d.Close() }()
 
-	go d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}) //nolint:errcheck
+	go submitDefault(d, core.SRCH) //nolint:errcheck
 	<-ex.started
 
 	// A queued job whose deadline expires is answered without execution.
@@ -97,121 +111,188 @@ func TestDispatcherQueueTimeout(t *testing.T) {
 	}
 }
 
+// TestDispatcherSkipsExpiredJobs pins that a job whose context expired
+// while it was queued is answered without ever reaching the engine.
 func TestDispatcherSkipsExpiredJobs(t *testing.T) {
 	ex := newBlockingExec()
-	d := newTestDispatcher(ex.exec, 4, 8)
+	d := newTestDispatcher(ex.exec, 1, 8)
 
-	// Block the loop with one live job.
-	go d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}) //nolint:errcheck
+	// Hold the only slot with one live job.
+	go submitDefault(d, core.SRCH) //nolint:errcheck
 	<-ex.started
 
-	// Queue one already-cancelled job and one live one.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	go d.SubmitTenant(cancelled, api.DefaultGraph, nil, core.Request{Alg: core.BTC}) //nolint:errcheck
-	done := make(chan error, 1)
+	// Queue one job that is cancelled while it waits, and one live one.
+	ctx, cancel := context.WithCancel(context.Background())
+	expired := make(chan error, 1)
 	go func() {
-		_, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.BJ})
-		done <- err
+		_, err := d.SubmitTenant(ctx, api.DefaultGraph, nil, core.Request{Alg: core.BTC})
+		expired <- err
 	}()
+	waitQueue(t, d, 1)
+	cancel()
+	if err := <-expired; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job returned %v, want context.Canceled", err)
+	}
+	live := make(chan error, 1)
+	go func() { live <- submitDefault(d, core.BJ) }()
 	waitQueue(t, d, 2)
 
-	// Release the first batch; the next batch must contain only the live
-	// job — the cancelled one never reaches the engine.
+	// Free the slot: it must pass over the cancelled job and run the live
+	// one.
 	ex.release <- struct{}{}
 	<-ex.started
 	ex.release <- struct{}{}
-	if err := <-done; err != nil {
+	if err := <-live; err != nil {
 		t.Fatalf("live job failed: %v", err)
 	}
-	close(ex.release)
 	d.Close()
-	for _, batch := range ex.batches {
-		for _, req := range batch {
-			if req.Alg == core.BTC {
-				t.Fatal("cancelled job was dispatched to the engine")
-			}
+	for _, req := range ex.seen {
+		if req.Alg == core.BTC {
+			t.Fatal("cancelled job was dispatched to the engine")
 		}
 	}
 }
 
-func TestDispatcherBatchesUpToWorkerLimit(t *testing.T) {
+// TestDispatcherConcurrencyEqualsWorkers pins what -workers means: with
+// more jobs waiting than slots, exactly workers of them execute at once —
+// every slot is used and none is exceeded.
+func TestDispatcherConcurrencyEqualsWorkers(t *testing.T) {
+	const workers, jobs = 3, 8
 	ex := newBlockingExec()
-	d := newTestDispatcher(ex.exec, 3, 16)
+	d := newTestDispatcher(ex.exec, workers, 16)
 
-	// Hold the loop in a first batch, then queue five more jobs.
 	var wg sync.WaitGroup
-	submit := func() {
+	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}); err != nil {
+			if err := submitDefault(d, core.SRCH); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}()
 	}
-	submit()
-	<-ex.started
-	for i := 0; i < 5; i++ {
-		submit()
+	// All eight are admitted: three hold the slots, five wait.
+	for i := 0; i < workers; i++ {
+		<-ex.started
 	}
-	waitQueue(t, d, 5)
-	// Six jobs drain as batches of 1, 3 (the worker limit) and 2.
-	ex.release <- struct{}{}
-	<-ex.started
-	ex.release <- struct{}{}
-	<-ex.started
-	ex.release <- struct{}{}
+	waitQueue(t, d, jobs-workers)
+	if got := d.Inflight(); got != workers {
+		t.Fatalf("%d slots in use with %d jobs waiting, want %d", got, jobs-workers, workers)
+	}
+	// Finish them one at a time: each freed slot is refilled from the queue.
+	for i := 0; i < jobs; i++ {
+		ex.release <- struct{}{}
+	}
 	wg.Wait()
 	d.Close()
-	total := 0
-	for _, n := range ex.batchSizes() {
-		if n > 3 {
-			t.Fatalf("batch of %d exceeds worker limit 3", n)
-		}
-		total += n
+	if ex.peak != workers {
+		t.Fatalf("peak engine concurrency %d, want exactly %d", ex.peak, workers)
 	}
-	if total != 6 {
-		t.Fatalf("dispatched %d jobs, want 6", total)
+	if len(ex.seen) != jobs {
+		t.Fatalf("dispatched %d jobs, want %d", len(ex.seen), jobs)
+	}
+	if got := d.Inflight(); got != 0 {
+		t.Fatalf("%d slots still in use after the drain", got)
 	}
 }
 
+// TestDispatcherNoHeadOfLineBlocking pins the work-conserving property: a
+// fast job submitted while a slow one holds a slot takes a free slot and
+// completes without waiting for the slow one.
+func TestDispatcherNoHeadOfLineBlocking(t *testing.T) {
+	slowStarted, releaseSlow := make(chan struct{}), make(chan struct{})
+	d := newTestDispatcher(func(req core.Request) core.Response {
+		if req.Alg == core.BJ {
+			close(slowStarted)
+			<-releaseSlow
+		}
+		return core.Response{Result: &core.Result{}}
+	}, 2, 8)
+
+	slow := make(chan error, 1)
+	go func() { slow <- submitDefault(d, core.BJ) }()
+	<-slowStarted
+	// The slow job is still blocked; the fast one must come back anyway.
+	if err := submitDefault(d, core.SRCH); err != nil {
+		t.Fatalf("fast job failed: %v", err)
+	}
+	select {
+	case err := <-slow:
+		t.Fatalf("slow job finished before it was released: %v", err)
+	default:
+	}
+	close(releaseSlow)
+	if err := <-slow; err != nil {
+		t.Fatalf("slow job failed: %v", err)
+	}
+	d.Close()
+}
+
+// TestDispatcherAnswersEachJobWhenItFinishes pins that two jobs running
+// side by side are answered independently: the one that finishes first is
+// answered first, not when the other ends.
+func TestDispatcherAnswersEachJobWhenItFinishes(t *testing.T) {
+	gates := map[core.Algorithm]chan struct{}{core.BTC: make(chan struct{}), core.BJ: make(chan struct{})}
+	started := make(chan struct{}, len(gates))
+	d := newTestDispatcher(func(req core.Request) core.Response {
+		started <- struct{}{}
+		<-gates[req.Alg]
+		return core.Response{Result: &core.Result{}}
+	}, 2, 8)
+
+	answered := map[core.Algorithm]chan error{core.BTC: make(chan error, 1), core.BJ: make(chan error, 1)}
+	for alg, ch := range answered {
+		go func() { ch <- submitDefault(d, alg) }()
+	}
+	<-started
+	<-started
+	// Both are running. Finish BJ only: its answer must arrive while BTC
+	// is still executing.
+	close(gates[core.BJ])
+	if err := <-answered[core.BJ]; err != nil {
+		t.Fatalf("first finisher failed: %v", err)
+	}
+	select {
+	case err := <-answered[core.BTC]:
+		t.Fatalf("blocked job was answered before it finished: %v", err)
+	default:
+	}
+	close(gates[core.BTC])
+	if err := <-answered[core.BTC]; err != nil {
+		t.Fatalf("second finisher failed: %v", err)
+	}
+	d.Close()
+}
+
+// TestDispatcherDrainsOnClose pins the shutdown drain: Close returns only
+// after every job admitted before it — running in a slot or still queued —
+// has executed and been answered, and admission refuses afterwards.
 func TestDispatcherDrainsOnClose(t *testing.T) {
 	ex := newBlockingExec()
 	d := newTestDispatcher(ex.exec, 2, 8)
 
-	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH})
-			errs <- err
-		}()
+		go func() { errs <- submitDefault(d, core.SRCH) }()
 	}
-	// Wait until every job is either executing or queued, then close while
-	// releasing batches: all four must complete.
+	// Two jobs are in flight and two queued when Close begins.
+	<-ex.started
 	<-ex.started
 	waitQueue(t, d, 2)
-	go func() {
-		for {
-			select {
-			case ex.release <- struct{}{}:
-			case <-d.done:
-				return
-			}
-		}
-	}()
+	stop := make(chan struct{})
+	go ex.releaseUntil(stop)
 	d.Close()
-	wg.Wait()
+	close(stop)
+	if ex.finished != 4 {
+		t.Fatalf("Close returned with %d of 4 admitted jobs executed", ex.finished)
+	}
 	for i := 0; i < 4; i++ {
 		if err := <-errs; err != nil {
-			t.Fatalf("queued job lost during drain: %v", err)
+			t.Fatalf("admitted job lost during drain: %v", err)
 		}
 	}
 	// After close, admission refuses.
-	if _, err := d.SubmitTenant(context.Background(), api.DefaultGraph, nil, core.Request{Alg: core.SRCH}); !errors.Is(err, ErrClosed) {
+	if err := submitDefault(d, core.SRCH); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed dispatcher returned %v, want ErrClosed", err)
 	}
 }
@@ -231,12 +312,10 @@ func waitQueue(t *testing.T, d *dispatcher, want int) {
 // TestDispatcherTenantFairness pins the round-robin guarantee: a tenant
 // flooding its own queue cannot starve another tenant's single job. With
 // one worker, tenant A holds the engine and has more jobs queued; tenant
-// B's lone job must run in the very next batch.
+// B's lone job must be the very next one to run.
 func TestDispatcherTenantFairness(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcher(func(_ *core.Database, reqs []core.Request) []core.Response {
-		return ex.exec(reqs)
-	}, []string{"a", "b"}, 1, 8)
+	d := newTenantDispatcher(ex.exec, []string{"a", "b"}, 1, 8)
 
 	var wg sync.WaitGroup
 	submit := func(tenant string, alg core.Algorithm) {
@@ -259,37 +338,29 @@ func TestDispatcherTenantFairness(t *testing.T) {
 	submit("b", core.BTC)
 	waitQueue(t, d, 5)
 
-	// Release the running batch: the next batch must be tenant B's job,
-	// not more of tenant A's backlog.
+	// Release the running job: the next one must be tenant B's, not more
+	// of tenant A's backlog.
 	ex.release <- struct{}{}
 	<-ex.started
 	ex.mu.Lock()
-	second := ex.batches[1]
+	second := ex.seen[1]
 	ex.mu.Unlock()
-	if len(second) != 1 || second[0].Alg != core.BTC {
-		t.Fatalf("second batch %v is not tenant B's job: round-robin fairness violated", second)
+	if second.Alg != core.BTC {
+		t.Fatalf("second job %v is not tenant B's: round-robin fairness violated", second)
 	}
 	// Drain the rest.
-	go func() {
-		for {
-			select {
-			case ex.release <- struct{}{}:
-			case <-d.done:
-				return
-			}
-		}
-	}()
+	stop := make(chan struct{})
+	go ex.releaseUntil(stop)
 	wg.Wait()
 	d.Close()
+	close(stop)
 }
 
 // TestDispatcherPerTenantSaturation pins that queue bounds are per tenant:
 // one tenant's full queue rejects only that tenant.
 func TestDispatcherPerTenantSaturation(t *testing.T) {
 	ex := newBlockingExec()
-	d := newDispatcher(func(_ *core.Database, reqs []core.Request) []core.Response {
-		return ex.exec(reqs)
-	}, []string{"a", "b"}, 1, 1)
+	d := newTenantDispatcher(ex.exec, []string{"a", "b"}, 1, 1)
 	defer func() { close(ex.release); d.Close() }()
 
 	// Tenant A: one job executing, one queued — its quota is spent.

@@ -58,10 +58,11 @@ type Metrics struct {
 	// InFlight is the number of requests currently being processed.
 	InFlight *atomic.Int64
 
-	lat     latencyRing
-	latHist *obsv.Histogram // request latency, seconds
-	ratio   *obsv.Histogram // buffer-pool hit ratio of executed queries
-	phase   *obsv.Vec       // engine time by (algorithm, phase); series appear on first execution
+	lat           latencyRing
+	latHist       *obsv.Histogram // request latency, seconds
+	admissionWait *obsv.Histogram // enqueue → engine slot granted, seconds
+	ratio         *obsv.Histogram // buffer-pool hit ratio of executed queries
+	phase         *obsv.Vec       // engine time by (algorithm, phase); series appear on first execution
 }
 
 // tenantCounters is one tenant's slice of the request counters. The global
@@ -108,6 +109,8 @@ func newMetrics(s *Server) *Metrics {
 		Func(func() float64 { return count(s.disp.QueueDepth()) })
 	r.Gauge("tc_admission_queue_capacity", "Capacity of the admission queue.").
 		Func(func() float64 { return count(s.disp.QueueCap()) })
+	r.Gauge("tc_engine_inflight", "Engine slots currently running a query.").
+		Func(func() float64 { return count(s.disp.Inflight()) })
 
 	// The serving index: the dynamic service when present (live generation,
 	// pending log, merge and rebuild counters), the static index otherwise.
@@ -182,6 +185,8 @@ func newMetrics(s *Server) *Metrics {
 	}
 
 	m.latHist = r.Histogram("tc_request_duration_seconds", "End-to-end request latency.", obsv.DurationBuckets()).Hist()
+	m.admissionWait = r.Histogram("tc_admission_wait_seconds",
+		"Time an admitted query waited in its tenant's queue before an engine slot took it.", obsv.DurationBuckets()).Hist()
 	m.ratio = r.Histogram("tc_buffer_hit_ratio", "Compute-phase buffer-pool hit ratio of executed queries.", obsv.RatioBuckets()).Hist()
 	m.phase = r.Histogram("tc_engine_phase_seconds", "Engine phase wall time by algorithm and phase.",
 		obsv.DurationBuckets(), "algorithm", "phase")

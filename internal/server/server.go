@@ -6,10 +6,10 @@
 // The serving pipeline layers three production mechanics over the engine:
 //
 //   - admission control: queries flow through bounded per-tenant queues
-//     into a bounded worker pool built on core.RunConcurrent; when a
-//     tenant's queue is full, its requests are rejected with 429 rather
-//     than piling up, and tenants take turns round-robin so one tenant's
-//     flood never starves another.
+//     into a fixed number of engine slots, each running one query at a
+//     time (core.RunOne); when a tenant's queue is full, its requests are
+//     rejected with 429 rather than piling up, and tenants take turns
+//     round-robin, job by job, so one tenant's flood never starves another.
 //   - result caching: a per-tenant LRU keyed on the canonical (algorithm,
 //     sources, config) triple answers repeated queries with zero page I/O,
 //     and single-flight deduplication collapses identical in-flight
@@ -60,8 +60,8 @@ import (
 
 // Options configures a Server. Zero values select the defaults.
 type Options struct {
-	// Workers bounds the number of queries one engine batch executes
-	// concurrently (default 8).
+	// Workers is the number of engine slots: the peak number of queries
+	// executing concurrently (default 8).
 	Workers int
 	// QueueDepth bounds each tenant's admission queue; a full queue
 	// rejects that tenant's requests with 429 (default 64).
@@ -279,7 +279,8 @@ func NewMulti(graphs []NamedGraph, opts Options) (*Server, error) {
 	}
 	sort.Strings(s.names)
 	s.def.dyn = opts.Dynamic
-	s.disp = newDispatcher(core.RunConcurrent, s.names, opts.Workers, opts.QueueDepth)
+	s.disp = newDispatcher(core.RunOne, func(d time.Duration) { s.met.admissionWait.Observe(d.Seconds()) },
+		s.names, opts.Workers, opts.QueueDepth)
 	s.met = newMetrics(s)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/reach", s.handleReach)
