@@ -67,6 +67,7 @@ func TestGoldenMetrics(t *testing.T) {
 			t.Fatalf("%s: metric record differs between identical runs", alg)
 		}
 	}
+	goldenConfigurations(t, db, cfg, &b)
 	got := b.String()
 
 	path := filepath.Join("testdata", "metrics.golden")
@@ -87,6 +88,69 @@ func TestGoldenMetrics(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("metric records diverge from %s.\nIf the change is intentional, regenerate with -update.\n%s",
 			path, diffLines(string(want), got))
+	}
+}
+
+// goldenConfigurations appends the records the full-closure section above
+// cannot reach: a selection (the write-out of source lists only, BJ's
+// single-parent reduction, SPN's and JKB's trees on a magic subgraph), HYB
+// with blocking off, the marking ablation, and the path aggregates. Each
+// header carries the variant after the algorithm name, so the plain [alg]
+// headers stay unique to the first section.
+func goldenConfigurations(t *testing.T, db *Database, cfg Config, b *strings.Builder) {
+	ptc := Query{Sources: []int32{3, 17, 29, 44, 58, 71, 86, 102}}
+	shape := func(q Query) string {
+		if q.IsFull() {
+			return "ctc"
+		}
+		return "ptc"
+	}
+	write := func(m Metrics, variant string) {
+		b.WriteString(strings.Replace(goldenRecord(m), "]", " "+variant+"]", 1))
+		b.WriteString("\n")
+	}
+	run := func(alg Algorithm, q Query, cfg Config, variant string) {
+		t.Helper()
+		res, err := Run(db, alg, q, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		write(res.Metrics, shape(q)+variant)
+	}
+	paths := func(db *Database, agg PathAggregate, q Query) {
+		t.Helper()
+		res, err := RunPaths(db, agg, q, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", agg, err)
+		}
+		write(res.Metrics, shape(q))
+	}
+
+	fmt.Fprintf(b, "# Selection (ptc): sources=%v, same graph and configuration\n\n", ptc.Sources)
+	for _, alg := range Algorithms() {
+		run(alg, ptc, cfg, "")
+	}
+
+	fmt.Fprintf(b, "# HYB with blocking off (the paper's best setting, Figure 6)\n\n")
+	noBlock := cfg
+	noBlock.ILIMIT = 0
+	run(HYB, Query{}, noBlock, " ilimit=0")
+	run(HYB, ptc, noBlock, " ilimit=0")
+
+	fmt.Fprintf(b, "# Marking off (DisableMarking)\n\n")
+	noMark := cfg
+	noMark.DisableMarking = true
+	for _, alg := range []Algorithm{BTC, SPN} {
+		run(alg, Query{}, noMark, " nomark")
+		run(alg, ptc, noMark, " nomark")
+	}
+
+	fmt.Fprintf(b, "# Path aggregates (RunPaths); minweight runs over the same arcs, weighted\n\n")
+	_, wdb := weightedDB(t, 424242, 120, 4, 30)
+	for _, q := range []Query{{}, ptc} {
+		paths(db, MinHops, q)
+		paths(db, PathCount, q)
+		paths(wdb, MinWeight, q)
 	}
 }
 
