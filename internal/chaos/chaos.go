@@ -162,8 +162,9 @@ func fingerprint(m core.Metrics) string {
 }
 
 // RunClean executes every candidate algorithm on the case and cross-checks
-// each answer against the oracle. It also asserts the HYB≡BTC degeneration
-// invariant: at ILIMIT=0 the two must produce identical metric records.
+// each answer against the oracle. It also asserts the paper's two
+// degeneration identities, record for record: HYB at ILIMIT=0 is BTC
+// (Figure 6), and BJ on a full closure is BTC (Section 6.2).
 func RunClean(c Case) error {
 	g, db, sources, err := c.materialize()
 	if err != nil {
@@ -181,9 +182,17 @@ func RunClean(c Case) error {
 		}
 		records[alg] = res.Metrics
 	}
-	if c.ILIMIT == 0 {
-		if b, h := fingerprint(records[core.BTC]), fingerprint(records[core.HYB]); b != h {
-			return fmt.Errorf("chaos: case {%s}: HYB at ILIMIT=0 is not BTC:\n  btc %s\n  hyb %s", c, b, h)
+	btc := fingerprint(records[core.BTC])
+	for _, same := range []struct {
+		alg   core.Algorithm
+		when  string
+		holds bool
+	}{
+		{core.HYB, "at ILIMIT=0", c.ILIMIT == 0},
+		{core.BJ, "on a full closure", c.Sources == 0},
+	} {
+		if got := fingerprint(records[same.alg]); same.holds && got != btc {
+			return fmt.Errorf("chaos: case {%s}: %s %s is not BTC:\n  btc %s\n  %s %s", c, same.alg, same.when, btc, same.alg, got)
 		}
 	}
 	return nil

@@ -15,9 +15,9 @@ import (
 // BITM condenses the stored graph into its DAG of strongly connected
 // components, and when that condensation fits the internal/bitmatrix
 // size/density threshold it closes the core with the in-memory
-// word-parallel kernel — 64 reachability bits per uint64, cache-blocked
-// Warren sweep, Floyd–Warshall column kernel under Config.Parallelism —
-// and expands the answer back through SCC membership. Oversized or
+// word-parallel kernel — 64 reachability bits per uint64, one row OR per
+// arc in reverse topological order (bitmatrix.ClosureDAG) — and expands
+// the answer back through SCC membership. Oversized or
 // too-sparse condensations fall back to the engine's list-based
 // algorithms: BTC on acyclic input, Schmitz (the cyclic-native algorithm)
 // when the input has cycles, since BTC's restructuring cannot
@@ -32,10 +32,11 @@ import (
 // the kernel always computes the full closure of the core, so a selection
 // query costs as much as CTC (only the source rows are expanded).
 //
-// Unlike the source-partitioning algorithms, BITM consumes
-// Config.Parallelism *inside* the kernel: the matrix is closed once and
-// its per-pivot row updates are partitioned across the worker budget, so
-// Run never scatter-gathers BITM queries over source slices.
+// BITM ignores Config.Parallelism, as CTC and single-source queries do: the
+// matrix is closed once whatever the source set, so Run never
+// scatter-gathers BITM queries over source slices (the strategy table's
+// partitions column), and the serial DAG sweep is far faster than any
+// parallel kernel on the cores that fit.
 
 // runBitMatrix executes the dense-core strategy end to end.
 func (e *engine) runBitMatrix() error {
@@ -146,21 +147,18 @@ func (e *engine) runBitMatrix() error {
 		if cyclic {
 			return e.runSchmitz()
 		}
-		return e.runBTC()
+		return e.runListClosure(specBTC)
 	}
 
 	if err := e.timedPhase(false, func() error {
 		if e.phaseSpan != nil {
-			sp := e.phaseSpan.Child("kernel",
-				obsv.KV("rows", mat.N()-1), obsv.KV("workers", e.cfg.Parallelism))
+			sp := e.phaseSpan.Child("kernel", obsv.KV("rows", mat.N()-1))
 			defer sp.Finish()
 		}
+		// The condensation is acyclic by construction, so the kernel is
+		// always the one-pass DAG sweep.
 		var st bitmatrix.Stats
-		if e.cfg.Parallelism > 1 {
-			// Spend the worker budget inside the Floyd–Warshall column
-			// kernel; pays off on large cores.
-			st = mat.Closure(e.cfg.Parallelism)
-		} else if trivial {
+		if trivial {
 			// The matrix is row-indexed by node id; Tarjan's component
 			// numbering is a reverse-topological order of those nodes.
 			order := make([]int, n)

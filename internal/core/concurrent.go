@@ -5,7 +5,6 @@ import (
 
 	"tcstudy/internal/buffer"
 	"tcstudy/internal/pagedisk"
-	"tcstudy/internal/slist"
 )
 
 // Concurrent query execution. The stored relations are immutable (sealed,
@@ -80,23 +79,28 @@ func (t *tempTracker) release() {
 	t.owned = t.owned[:0]
 }
 
-// runOwned executes one query with a private buffer pool and a private
-// temp-file tracker, releasing the query's temporary files when it
-// returns. It is the shared worker under Run, RunConcurrent and the
-// intra-query source partitioning.
-func runOwned(db *Database, alg Algorithm, q Query, cfg Config) (*Result, error) {
-	pagePol, err := newPagePolicy(cfg)
+// newTrackedPool builds a buffer pool of cfg.BufferPages frames over a
+// fresh temp-file tracker: every file created through the pool belongs to
+// the tracker's owner.
+func newTrackedPool(db *Database, cfg Config) (*tempTracker, *buffer.Pool, error) {
+	pagePol, err := buffer.NewPolicy(cfg.PagePolicy, cfg.BufferPages)
+	if err != nil {
+		return nil, nil, err
+	}
+	temps := newTempTracker(db.disk)
+	return temps, buffer.New(temps, cfg.BufferPages, pagePol), nil
+}
+
+// runOwned executes a validated request with a private buffer pool and a
+// private temp-file tracker, releasing the query's temporary files when it
+// returns.
+func runOwned(db *Database, r Request, run func(*engine) error) (*engine, error) {
+	temps, pool, err := newTrackedPool(db, r.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	listPol, err := slist.NewListPolicy(cfg.ListPolicy)
-	if err != nil {
-		return nil, err
-	}
-	tracker := newTempTracker(db.disk)
-	defer tracker.release()
-	pool := buffer.New(tracker, cfg.BufferPages, pagePol)
-	return execute(db, pool, listPol, alg, q, cfg)
+	defer temps.release()
+	return execute(db, pool, r, run)
 }
 
 // RunConcurrent executes the requests in parallel over one database and

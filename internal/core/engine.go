@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -47,11 +46,54 @@ const (
 	BITM Algorithm = "bitmatrix"
 )
 
-// Algorithms lists every implemented algorithm: the paper's seven
-// candidates, the two related-work baselines, and this repository's
-// additions (Schmitz and the dense-core bit-matrix strategy).
+// strategy is one row of the algorithm table.
+type strategy struct {
+	alg Algorithm
+	run func(*engine) error
+	// partitions reports whether a multi-source query may be split across
+	// Config.Parallelism workers (see parallel.go). BITM's kernel closes
+	// the whole condensed core once regardless of the source set, so
+	// partitioning would duplicate the matrix per worker: it ignores the
+	// setting, exactly as CTC and single-source queries do.
+	partitions bool
+}
+
+// strategies is the one place the set of algorithms is written down, in
+// the order Algorithms reports them: the paper's seven candidates, the two
+// related-work baselines, and this repository's additions (Schmitz and
+// the dense-core bit-matrix strategy). BTC, HYB, BJ and SPN are
+// configurations of the list-closure driver (closure.go).
+var strategies = [...]strategy{
+	{BTC, listClosure(specBTC), true},
+	{HYB, listClosure(specHYB), true},
+	{BJ, listClosure(specBJ), true},
+	{SRCH, (*engine).runSRCH, true},
+	{SPN, listClosure(specSPN), true},
+	{JKB, func(e *engine) error { return e.runJKB(false) }, true},
+	{JKB2, func(e *engine) error { return e.runJKB(true) }, true},
+	{SEMI, (*engine).runSeminaive, true},
+	{WARREN, (*engine).runWarren, true},
+	{SCHMITZ, (*engine).runSchmitz, true},
+	{BITM, (*engine).runBitMatrix, false},
+}
+
+// strategyOf finds an algorithm's row; nil when there is none.
+func strategyOf(alg Algorithm) *strategy {
+	for i := range strategies {
+		if strategies[i].alg == alg {
+			return &strategies[i]
+		}
+	}
+	return nil
+}
+
+// Algorithms lists every implemented algorithm.
 func Algorithms() []Algorithm {
-	return []Algorithm{BTC, HYB, BJ, SRCH, SPN, JKB, JKB2, SEMI, WARREN, SCHMITZ, BITM}
+	algs := make([]Algorithm, len(strategies))
+	for i, s := range strategies {
+		algs[i] = s.alg
+	}
+	return algs
 }
 
 // Config carries the system parameters of an experiment (Section 5.1).
@@ -82,7 +124,8 @@ type Config struct {
 	// temporary files; the merged metric record is the sum of the workers'
 	// records (restructuring work repeats per worker, so parallel runs
 	// report more total I/O than a serial run — they trade pages for
-	// wall-clock time). CTC and single-source queries ignore the setting.
+	// wall-clock time). CTC and single-source queries ignore the setting,
+	// and so does BITM (the strategy table's partitions column).
 	Parallelism int
 	// Trace, when non-nil, is the parent span the engine hangs its phase
 	// spans under: "restructure" and "compute" spans carrying the exact
@@ -256,12 +299,6 @@ type Result struct {
 	Successors map[int32][]int32
 }
 
-// newPagePolicy is the shared construction helper of the Run, Session and
-// RunPaths entry points.
-func newPagePolicy(cfg Config) (buffer.Policy, error) {
-	return buffer.NewPolicy(cfg.PagePolicy, cfg.BufferPages)
-}
-
 func fileID(id int) pagedisk.FileID { return pagedisk.FileID(id) }
 
 // InvalidInputError reports a request the engine refuses because of its
@@ -333,9 +370,15 @@ func DedupSources(sources []int32) []int32 {
 // exactly the source set the engine expands. Failures are
 // *InvalidInputError.
 func (r Request) Validate(db *Database) (Request, error) {
-	if !slices.Contains(Algorithms(), r.Alg) {
+	if strategyOf(r.Alg) == nil {
 		return r, invalidInput("unknown algorithm %q (have %v)", r.Alg, Algorithms())
 	}
+	return r.validateInputs(db)
+}
+
+// validateInputs is Validate without the algorithm lookup, for RunPaths,
+// whose aggregates are not rows of the strategy table.
+func (r Request) validateInputs(db *Database) (Request, error) {
 	r.Cfg = r.Cfg.withDefaults()
 	if err := r.Cfg.validate(); err != nil {
 		return r, err
@@ -361,10 +404,21 @@ func Run(db *Database, alg Algorithm, q Query, cfg Config) (*Result, error) {
 
 // run executes a validated request.
 func (r Request) run(db *Database) (*Result, error) {
-	if parallelEligible(r.Alg, r.Query, r.Cfg) {
-		return runParallelSources(db, r.Alg, r.Query, r.Cfg)
+	if r.partitioned() {
+		return runParallelSources(db, r)
 	}
-	return runOwned(db, r.Alg, r.Query, r.Cfg)
+	return r.runSerial(db)
+}
+
+// runSerial executes a validated request on one goroutine with a private
+// buffer pool and private temporary files. It is the shared worker under
+// Run, RunConcurrent and the intra-query source partitioning.
+func (r Request) runSerial(db *Database) (*Result, error) {
+	e, err := runOwned(db, r, strategyOf(r.Alg).run)
+	if err != nil {
+		return nil, err
+	}
+	return e.result(), nil
 }
 
 // engine is the per-run state shared by the algorithm implementations.
@@ -400,6 +454,36 @@ type engine struct {
 	// (nil when tracing is off), so algorithms can nest finer-grained spans
 	// — SRCH's per-source expansions — inside it.
 	phaseSpan *obsv.Span
+}
+
+// execute is the one engine constructor: it builds the per-run state of a
+// validated request on the given pool and runs it. Run, Session.Run and
+// RunPaths all come through here.
+func execute(db *Database, pool *buffer.Pool, r Request, run func(*engine) error) (*engine, error) {
+	listPol, err := slist.NewListPolicy(r.Cfg.ListPolicy)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{
+		db:         db,
+		cfg:        r.Cfg,
+		pool:       pool,
+		q:          r.Query,
+		met:        Metrics{Algorithm: r.Alg},
+		listPolicy: listPol,
+	}
+	if err := run(e); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", r.Alg, err)
+	}
+	if e.store != nil {
+		e.met.Store = e.store.Stats()
+	}
+	return e, nil
+}
+
+// result packages a finished run.
+func (e *engine) result() *Result {
+	return &Result{Metrics: e.met, Successors: e.answer}
 }
 
 // sources returns the effective source set: the query's sources for PTC, or

@@ -16,16 +16,12 @@ package core
 
 import "tcstudy/internal/obsv"
 
-// parallelEligible reports whether the query and configuration ask for
-// source partitioning: an explicit Parallelism of at least 2 and a PTC
-// query with at least two sources to split. CTC (empty source set) always
-// runs serially. BITM is excluded: the bit-matrix kernel computes the full
-// closure of the condensed core once regardless of the source set —
-// partitioning sources would duplicate the whole matrix per worker — and
-// instead spends the same Parallelism budget inside the kernel's per-pivot
-// row updates.
-func parallelEligible(alg Algorithm, q Query, cfg Config) bool {
-	return alg != BITM && cfg.Parallelism > 1 && len(q.Sources) > 1
+// partitioned reports whether the request asks for source partitioning:
+// an algorithm that partitions (the strategy table says which), an explicit
+// Parallelism of at least 2 and a PTC query with at least two sources to
+// split. CTC (empty source set) always runs serially.
+func (r Request) partitioned() bool {
+	return strategyOf(r.Alg).partitions && r.Cfg.Parallelism > 1 && len(r.Query.Sources) > 1
 }
 
 // partitionSources splits sources into at most workers contiguous,
@@ -48,8 +44,9 @@ func partitionSources(sources []int32, workers int) [][]int32 {
 // wins; the remaining workers still run to completion (they own private
 // pools and temp files, so there is nothing to cancel — each releases its
 // storage on return).
-func runParallelSources(db *Database, alg Algorithm, q Query, cfg Config) (*Result, error) {
-	parts := partitionSources(q.Sources, cfg.Parallelism)
+func runParallelSources(db *Database, r Request) (*Result, error) {
+	cfg := r.Cfg
+	parts := partitionSources(r.Query.Sources, cfg.Parallelism)
 	subCfg := cfg
 	subCfg.Parallelism = 0 // workers are serial; no recursive fan-out
 	subCfg.Trace = nil     // each worker gets its own span below
@@ -67,7 +64,7 @@ func runParallelSources(db *Database, alg Algorithm, q Query, cfg Config) (*Resu
 				obsv.KV("worker", w), obsv.KV("sources", len(parts[w])))
 		}
 		go func(w int, wcfg Config) {
-			results[w], errs[w] = runOwned(db, alg, Query{Sources: parts[w]}, wcfg)
+			results[w], errs[w] = Request{Alg: r.Alg, Query: Query{Sources: parts[w]}, Cfg: wcfg}.runSerial(db)
 			wcfg.Trace.Finish()
 			done <- w
 		}(w, wcfg)

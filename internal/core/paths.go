@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"tcstudy/internal/buffer"
 	"tcstudy/internal/slist"
 )
 
@@ -68,70 +67,34 @@ func RunPaths(db *Database, agg PathAggregate, q Query, cfg Config) (*PathResult
 	default:
 		return nil, fmt.Errorf("core: unknown path aggregate %q", agg)
 	}
-	cfg = cfg.withDefaults()
-	res := &PathResult{}
-	runner := func(e *engine) error { return e.runPathAgg(agg, res) }
-	met, err := runEngine(db, q, cfg, runner)
+	r, err := Request{Alg: Algorithm("paths-" + string(agg)), Query: q, Cfg: cfg}.validateInputs(db)
 	if err != nil {
-		return nil, err
-	}
-	res.Metrics = *met
-	return res, nil
-}
-
-// runEngine is a narrow harness used by the generalized-closure entry
-// point: it validates the configuration, builds a fresh pool, runs fn and
-// returns the collected metrics.
-func runEngine(db *Database, q Query, cfg Config, fn func(*engine) error) (*Metrics, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	pagePol, err := newPagePolicy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	listPol, err := slist.NewListPolicy(cfg.ListPolicy)
-	if err != nil {
-		return nil, err
-	}
-	if q.Sources, err = db.normalizeSources(q.Sources); err != nil {
 		return nil, err
 	}
 	db.disk.ResetStats()
-	tracker := newTempTracker(db.disk)
-	defer tracker.release()
-	e := &engine{
-		db:         db,
-		cfg:        cfg,
-		pool:       buffer.New(tracker, cfg.BufferPages, pagePol),
-		q:          q,
-		listPolicy: listPol,
-	}
-	if err := fn(e); err != nil {
+	res := &PathResult{}
+	e, err := runOwned(db, r, func(e *engine) error { return e.runPathAgg(agg, res) })
+	if err != nil {
 		return nil, err
 	}
-	if e.store != nil {
-		e.met.Store = e.store.Stats()
-	}
-	return &e.met, nil
+	res.Metrics = e.met
+	return res, nil
 }
 
 // runPathAgg performs the two phases of a generalized closure.
 func (e *engine) runPathAgg(agg PathAggregate, out *PathResult) error {
-	e.met.Algorithm = Algorithm("paths-" + string(agg))
 	weighted := weightedAgg(agg)
 	e.needWeights = weighted
-	var adj [][]int32
 	if err := e.timedPhase(true, func() error {
-		var err error
-		adj, err = e.discover()
+		adj, err := e.discover()
 		if err != nil {
 			return err
 		}
+		layout := flatLists
 		if weighted {
-			return e.buildWeightedLists(adj)
+			layout = weightedLists
 		}
-		return e.buildLists(adj)
+		return e.buildLists(adj, layout)
 	}); err != nil {
 		return err
 	}
@@ -203,29 +166,14 @@ func (e *engine) runPathAgg(agg PathAggregate, out *PathResult) error {
 				return err
 			}
 		}
-		// Write the requested lists out.
-		if e.q.IsFull() {
-			return e.pool.FlushFile(aggStore.File())
-		}
-		for _, s := range e.q.Sources {
-			e.met.SourceTuples += int64(aggStore.Len(s) / 2)
-			if err := aggStore.FlushList(s); err != nil {
-				return err
-			}
-		}
-		aggStore.DiscardAll()
-		return nil
+		return e.writeOut(aggStore, e.q.Sources, func(s int32) int64 { return int64(aggStore.Len(s) / 2) })
 	}); err != nil {
 		return err
 	}
 
 	// Extract the answer after measurement.
 	out.Values = make(map[int32]map[int32]int64)
-	nodes := e.q.Sources
-	if e.q.IsFull() {
-		nodes = e.order
-	}
-	for _, s := range nodes {
+	for _, s := range e.answerNodes() {
 		pairs, err := aggStore.ReadAll(s)
 		if err != nil {
 			return err
@@ -235,9 +183,6 @@ func (e *engine) runPathAgg(agg PathAggregate, out *PathResult) error {
 			m[pairs[i]] = int64(pairs[i+1])
 		}
 		out.Values[s] = m
-	}
-	if e.q.IsFull() {
-		e.met.SourceTuples = e.met.DistinctTuples
 	}
 	return nil
 }

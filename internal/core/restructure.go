@@ -163,66 +163,41 @@ func (e *engine) discover() ([][]int32, error) {
 // expands them — which gives the inter-list clustering of Section 4, and
 // each node's children are sorted by topological position so the marking
 // optimization achieves the transitive reduction (Section 3.1).
-func (e *engine) buildLists(adj [][]int32) error { return e.buildListsMode(adj, false) }
-
-// buildListsMode builds flat successor lists, or — for the spanning tree
-// algorithm — initial successor trees: the node's children under a single
-// group whose parent marker is the (negated) node itself (Section 4.1:
-// "successor spanning trees are represented by storing each parent once,
-// followed by a list of its children; parent nodes are distinguished by
-// negating their values").
-func (e *engine) buildListsMode(adj [][]int32, tree bool) error {
+//
+// The layout decides what a list holds (see listLayout): the children
+// alone; an initial successor tree — the children under a single group
+// whose parent marker is the (negated) node itself (Section 4.1: "successor
+// spanning trees are represented by storing each parent once, followed by a
+// list of its children; parent nodes are distinguished by negating their
+// values"); or (child, weight) pairs, the weights read from adjW.
+func (e *engine) buildLists(adj [][]int32, layout listLayout) error {
 	e.store = slist.NewStore(e.pool, "successor-lists", e.db.n+1, e.listPolicy)
 	if e.cfg.DisableClustering {
 		e.store.SetClustering(false)
 	}
 	e.childCount = make([]int32, e.db.n+1)
+	var rank []int // positions in adj[v], by the child's topological position
 	buf := make([]int32, 0, 64)
 	for i := len(e.order) - 1; i >= 0; i-- {
 		v := e.order[i]
+		kids := adj[v]
+		rank = rank[:0]
+		for k := range kids {
+			rank = append(rank, k)
+		}
+		sort.Slice(rank, func(a, b int) bool { return e.topoPos[kids[rank[a]]] < e.topoPos[kids[rank[b]]] })
+		e.childCount[v] = int32(len(kids))
 		buf = buf[:0]
-		if tree {
+		if layout == treeLists {
 			buf = append(buf, -v)
 		}
-		buf = append(buf, adj[v]...)
-		kids := buf
-		if tree {
-			kids = buf[1:]
+		for _, k := range rank {
+			buf = append(buf, kids[k])
+			if layout == weightedLists {
+				buf = append(buf, e.adjW[v][k])
+			}
 		}
-		sort.Slice(kids, func(a, b int) bool { return e.topoPos[kids[a]] < e.topoPos[kids[b]] })
-		e.childCount[v] = int32(len(kids))
 		if err := e.store.AppendAll(v, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// buildWeightedLists lays out (child, weight) pair lists in reverse
-// topological order for the weighted path aggregates. Children are sorted
-// by topological position as in buildLists.
-func (e *engine) buildWeightedLists(adj [][]int32) error {
-	e.store = slist.NewStore(e.pool, "successor-lists", e.db.n+1, e.listPolicy)
-	if e.cfg.DisableClustering {
-		e.store.SetClustering(false)
-	}
-	e.childCount = make([]int32, e.db.n+1)
-	type cw struct{ c, w int32 }
-	var buf []cw
-	var flat []int32
-	for i := len(e.order) - 1; i >= 0; i-- {
-		v := e.order[i]
-		buf = buf[:0]
-		for k, c := range adj[v] {
-			buf = append(buf, cw{c: c, w: e.adjW[v][k]})
-		}
-		sort.Slice(buf, func(a, b int) bool { return e.topoPos[buf[a].c] < e.topoPos[buf[b].c] })
-		e.childCount[v] = int32(len(buf))
-		flat = flat[:0]
-		for _, x := range buf {
-			flat = append(flat, x.c, x.w)
-		}
-		if err := e.store.AppendAll(v, flat); err != nil {
 			return err
 		}
 	}

@@ -161,6 +161,19 @@ func (e *engine) runSchmitz() error {
 	}
 	e.store = store
 
+	// The answer for node x is its component's list.
+	nodes := e.q.Sources
+	if e.q.IsFull() {
+		nodes = nil
+		for _, ms := range members {
+			nodes = append(nodes, ms...)
+		}
+	}
+	lists := make([]int32, len(nodes))
+	for i, x := range nodes {
+		lists[i] = comp[x]
+	}
+
 	if err := e.timedPhase(false, func() error {
 		member := bitset.New(n + 1)   // nodes in the list being built
 		childSet := bitset.New(n + 1) // external child nodes of the component
@@ -243,51 +256,9 @@ func (e *engine) runSchmitz() error {
 			e.met.DistinctTuples += int64(len(appendBuf)) * int64(len(members[id]))
 		}
 
-		// Write the result out.
-		if e.q.IsFull() {
-			e.met.SourceTuples = e.met.DistinctTuples
-			return e.pool.FlushFile(store.File())
-		}
-		flushed := map[int32]bool{}
-		for _, s := range e.q.Sources {
-			e.met.SourceTuples += int64(store.Len(comp[s]))
-			if !flushed[comp[s]] {
-				flushed[comp[s]] = true
-				if err := store.FlushList(comp[s]); err != nil {
-					return err
-				}
-			}
-		}
-		store.DiscardAll()
-		return nil
+		return e.writeOut(store, lists, func(id int32) int64 { return int64(store.Len(id)) })
 	}); err != nil {
 		return err
 	}
-
-	// ---- Answer extraction (post-measurement) --------------------------
-	e.answer = make(map[int32][]int32)
-	fill := func(x int32) error {
-		vals, err := store.ReadAll(comp[x])
-		if err != nil {
-			return err
-		}
-		e.answer[x] = vals
-		return nil
-	}
-	if e.q.IsFull() {
-		for _, ms := range members {
-			for _, m := range ms {
-				if err := fill(m); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, s := range e.q.Sources {
-		if err := fill(s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.collectAnswer(store, nodes, lists)
 }

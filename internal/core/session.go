@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"tcstudy/internal/buffer"
-	"tcstudy/internal/slist"
-)
+import "tcstudy/internal/buffer"
 
 // Session runs a sequence of queries over one database through a shared,
 // warm buffer pool. The paper's experiments are deliberately cold — every
@@ -36,17 +31,11 @@ func NewSession(db *Database, cfg Config) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pagePol, err := newPagePolicy(cfg)
+	temps, pool, err := newTrackedPool(db, cfg)
 	if err != nil {
 		return nil, err
 	}
-	temps := newTempTracker(db.disk)
-	return &Session{
-		db:    db,
-		cfg:   cfg,
-		temps: temps,
-		pool:  buffer.New(temps, cfg.BufferPages, pagePol),
-	}, nil
+	return &Session{db: db, cfg: cfg, temps: temps, pool: pool}, nil
 }
 
 // Pool exposes the session's buffer pool (for tests and instrumentation).
@@ -56,16 +45,26 @@ func (s *Session) Pool() *buffer.Pool { return s.pool }
 // from.
 func (s *Session) Faults() int64 { return s.faults }
 
-// Run executes one query within the session.
+// Run executes one query within the session. A request the engine refuses
+// (*InvalidInputError) never reaches the pool: it is not a fault and costs
+// the session nothing.
 func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
-	listPol, err := slist.NewListPolicy(s.cfg.ListPolicy)
+	r, err := Request{Alg: alg, Query: q, Cfg: s.cfg}.Validate(s.db)
 	if err != nil {
 		return nil, err
 	}
-	if q.Sources, err = s.db.normalizeSources(q.Sources); err != nil {
-		return nil, err
-	}
-	res, err := execute(s.db, s.pool, listPol, alg, q, s.cfg)
+	// Release this query's temporary files on the way out: drop their
+	// buffered pages, then their storage. Only files created through the
+	// session's tracker are touched — on a database that is also serving Run
+	// or RunConcurrent traffic, other queries' live temp files interleave
+	// with them by ID.
+	defer func() {
+		for _, id := range s.temps.owned {
+			s.pool.DiscardFile(id)
+		}
+		s.temps.release()
+	}()
+	e, err := execute(s.db, s.pool, r, strategyOf(alg).run)
 	if err != nil {
 		// The aborted run can leave pages pinned and dirty frames holding
 		// its temporaries. Drop every frame — the base relations are
@@ -73,61 +72,7 @@ func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
 		// stays usable; the next query simply starts cold.
 		s.faults++
 		s.pool.Reset()
+		return nil, err
 	}
-	// Release this query's temporary files: drop their buffered pages,
-	// then their storage. Only files created through the session's tracker
-	// are touched — on a database that is also serving Run or RunConcurrent
-	// traffic, other queries' live temp files interleave with them by ID.
-	for _, id := range s.temps.owned {
-		s.pool.DiscardFile(id)
-	}
-	s.temps.release()
-	return res, err
-}
-
-// execute is the engine entry shared by Run and Session.Run: it performs
-// one query on the given pool.
-func execute(db *Database, pool *buffer.Pool, listPol slist.ListPolicy, alg Algorithm, q Query, cfg Config) (*Result, error) {
-	e := &engine{
-		db:         db,
-		cfg:        cfg,
-		pool:       pool,
-		q:          q,
-		met:        Metrics{Algorithm: alg},
-		listPolicy: listPol,
-	}
-	var run func() error
-	switch alg {
-	case BTC:
-		run = e.runBTC
-	case HYB:
-		run = e.runHYB
-	case BJ:
-		run = e.runBJ
-	case SRCH:
-		run = e.runSRCH
-	case SPN:
-		run = e.runSPN
-	case JKB:
-		run = func() error { return e.runJKB(false) }
-	case JKB2:
-		run = func() error { return e.runJKB(true) }
-	case SEMI:
-		run = e.runSeminaive
-	case WARREN:
-		run = e.runWarren
-	case SCHMITZ:
-		run = e.runSchmitz
-	case BITM:
-		run = e.runBitMatrix
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
-	}
-	if err := run(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", alg, err)
-	}
-	if e.store != nil {
-		e.met.Store = e.store.Stats()
-	}
-	return &Result{Metrics: e.met, Successors: e.answer}, nil
+	return e.result(), nil
 }

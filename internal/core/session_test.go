@@ -19,6 +19,15 @@ func TestSessionWarmBufferReducesIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A request the engine refuses is not a storage fault: it must not cost
+	// the session the pages the first query warmed.
+	var invalid *InvalidInputError
+	if _, err := s.Run(Algorithm("nope"), q); !errors.As(err, &invalid) {
+		t.Fatalf("unknown algorithm: got %v, want *InvalidInputError", err)
+	}
+	if s.Faults() != 0 {
+		t.Fatalf("refused request booked as %d fault(s)", s.Faults())
+	}
 	second, err := s.Run(SRCH, q)
 	if err != nil {
 		t.Fatal(err)
