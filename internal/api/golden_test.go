@@ -36,8 +36,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden transcripts")
 
 var (
-	// Wall-clock JSON fields, zeroed in place so key order stays pinned.
-	jsonTimings = regexp.MustCompile(`"(elapsed_ms|restructure_ms|compute_ms|uptime_seconds|qps|p50|p90|p99|max)":[^,}\]]+`)
+	// Wall-clock JSON fields (the trace entries' time, start and
+	// duration_ms among them), zeroed in place so key order stays pinned.
+	jsonTimings = regexp.MustCompile(`"(elapsed_ms|restructure_ms|compute_ms|uptime_seconds|qps|p50|p90|p99|max|time|start|duration_ms)":[^,}\]]+`)
 	// Exposition samples whose value depends on the clock: uptime, every
 	// *_seconds histogram's finite buckets and sum, and the planner's
 	// hit scoring (it ranks by observed latency).
@@ -175,7 +176,7 @@ func newTwoTenant(t *testing.T) string {
 	s, err := server.NewMulti([]server.NamedGraph{
 		{Name: "wide", DB: core.NewDatabase(wideGraph.Nodes, genArcs(t, wideGraph))},
 		{Name: "deep", DB: core.NewDatabase(deepGraph.Nodes, deepArcs), Index: idx},
-	}, server.Options{})
+	}, server.Options{TraceBuffer: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func newMutable(t *testing.T, opts dynamic.Options) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(db, server.Options{Dynamic: dyn})
+	s := server.New(db, server.Options{Dynamic: dyn, TraceBuffer: 16})
 	return serve(t, s, s.Close, dyn.Close)
 }
 
@@ -275,11 +276,13 @@ func TestGoldenTwoTenant(t *testing.T) {
 	tr.post("/v1/query", `{"algorithm":"btc","graph":"deep","sources":[7]}`)
 	tr.get("/v1/reach?src=3&dst=150&graph=deep") // index hit
 	tr.get("/v1/reach?src=3&dst=150")            // default tenant: engine
+	tr.get("/v1/reach?src=41&dst=150&timeout_ms=5000")
 	tr.get("/v1/plan?graph=deep&sources=2&mode=static")
 	tr.post("/v1/query", `{"algorithm":"srch","graph":"nope","sources":[1]}`)
 	tr.post("/v1/query", `{"algorithm":"srch","graph":"deep","sources":[201]}`)
 	tr.get("/metrics?format=json")
 	tr.get("/metrics")
+	tr.get("/debug/traces") // index-probe entry beside the engine entries
 	tr.check("two_tenant")
 }
 
@@ -303,6 +306,7 @@ func TestGoldenMutable(t *testing.T) {
 	tr.post("/v1/query", `{"algorithm":"srch","sources":[1]}`) // engine serves the frozen base
 	tr.get("/metrics?format=json")
 	tr.get("/metrics")
+	tr.get("/debug/traces") // dynamic-probe, overlay, arc and the 503 seq=99 entries; Manual, so no rebuild entry
 	tr.check("mutable")
 }
 

@@ -2,6 +2,8 @@ package index
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"strings"
@@ -173,6 +175,44 @@ func TestLoadRejectsTornWrite(t *testing.T) {
 		}
 		if _, err := Load(bytes.NewReader(torn.Bytes())); err == nil {
 			t.Fatalf("torn write at %d of %d bytes loaded successfully", budget, full)
+		}
+	}
+}
+
+// TestBuildersSaveBytesPinned pins the TCIX bytes both builders write for
+// three seeded graphs — a local DAG, a wide layered grid and a graph with
+// cycles and self-arcs — so a change to the shared build skeleton that
+// moves a single chain id, position or label entry shows up as a diff here.
+func TestBuildersSaveBytesPinned(t *testing.T) {
+	gridN, grid := gridArcs(6, 60, 2, 3)
+	cyclic, err := graphgen.Generate(graphgen.Params{Nodes: 200, OutDegree: 3, Locality: 25, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int32(10); v <= 200; v += 10 {
+		cyclic = append(cyclic, graph.Arc{From: v, To: v - 7}, graph.Arc{From: v, To: v})
+	}
+	for _, tc := range []struct {
+		name       string
+		g          *graph.Graph
+		greedy, kt string
+	}{
+		{"dag", testGraph(t), "2e07f66ae7ef82c2", "0ac3a1de3a9f1142"},
+		{"grid", graph.New(gridN, grid), "f2731acf07399819", "d7aa146b9c7afb97"},
+		{"cyclic", graph.New(200, cyclic), "78f2eb3b3fdf51cb", "04aad43d9ef3a15a"},
+	} {
+		sum := func(x *Index) string {
+			var buf bytes.Buffer
+			if err := x.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))[:16]
+		}
+		if got := sum(mustBuild(t, tc.g)); got != tc.greedy {
+			t.Errorf("%s: Build wrote %s, pinned %s", tc.name, got, tc.greedy)
+		}
+		if got := sum(mustBuildKT(t, tc.g, 3)); got != tc.kt {
+			t.Errorf("%s: BuildKT wrote %s, pinned %s", tc.name, got, tc.kt)
 		}
 	}
 }
