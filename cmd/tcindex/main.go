@@ -5,13 +5,11 @@
 //	tcindex build -o graph.idx -input graph.txt         # from tcgen -dump output
 //	tcindex build -o graph.idx -n 2000 -f 5 -l 200      # from the generator
 //	tcindex build -o graph.idx -decomp=kt -par 4        # Kritikakis-Tollis chains
-//	tcindex inspect graph.idx                           # shape, labels, generation, staleness
+//	tcindex inspect graph.idx                           # shape, labels, generation
 //	tcindex reach graph.idx 3 777                       # one reachability probe
 //
 // The input file format is the "src dst" line format tcgen -dump emits and
-// tcquery -input consumes. reach exits 3 when the index is stale: the
-// printed answer predates a closure-changing mutation and must not be
-// trusted by scripts.
+// tcquery -input consumes.
 package main
 
 import (
@@ -129,7 +127,6 @@ func inspect(args []string) {
 	fmt.Printf("chain overlap  %.2f (sampled label pairs sharing a chain)\n", st.ChainOverlap)
 	fmt.Printf("generation     %d\n", st.Generation)
 	fmt.Printf("merged comps   %d (SCC merges absorbed in place)\n", st.Merged)
-	fmt.Printf("stale          %t\n", st.Stale)
 }
 
 func reach(args []string) {
@@ -149,12 +146,6 @@ func reach(args []string) {
 	ok := x.Reach(int32(src), int32(dst))
 	elapsed := time.Since(start)
 	fmt.Printf("%d -> %d: %t (%s)\n", src, dst, ok, elapsed)
-	if x.Stale() {
-		// The answer is printed for inspection, but scripts must not trust
-		// it: a stale index predates a closure-changing mutation.
-		fmt.Fprintln(os.Stderr, "tcindex: index is stale; answer predates the violating mutation")
-		os.Exit(3)
-	}
 }
 
 // readArcs parses "src dst" lines (tcgen -dump format, # comments allowed).

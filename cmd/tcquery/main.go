@@ -292,9 +292,6 @@ func runIndexQuery(path, sources string, show bool) {
 	if err != nil {
 		fatal(err)
 	}
-	if idx.Stale() {
-		fmt.Fprintln(os.Stderr, "tcquery: warning: index is stale; answers predate the violating insert")
-	}
 	var srcs []int32
 	if sources != "" {
 		for _, part := range strings.Split(sources, ",") {

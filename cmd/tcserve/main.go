@@ -35,8 +35,8 @@
 // ranking. See docs/PLANNER.md.
 //
 // With -index, GET /v1/reach is answered from the prebuilt reachability
-// index (zero page I/O, no engine work); the engine path remains the
-// fallback while the index is absent or stale.
+// index (zero page I/O, no engine work); without one it goes through the
+// engine.
 //
 // With -mutable, the server becomes a read/write graph service: POST
 // /v1/arc accepts insert/delete batches, cycle-creating inserts merge SCCs
@@ -108,90 +108,84 @@ func main() {
 	)
 	flag.Parse()
 
+	// Either -graphs or the single-graph flags name the tenants; everything
+	// after is one start-up path.
+	var (
+		graphs     []server.NamedGraph
+		dyn        *dynamic.Service
+		replayArgs string
+	)
 	if *graphsSpec != "" {
 		if *dbDir != "" || *indexFile != "" || *mutable {
 			fatal(errors.New("-graphs conflicts with the single-graph flags -db, -index and -mutable"))
 		}
-		serveMulti(*graphsSpec, serveOptions{
-			addr: *addr, workers: *workers, queue: *queue, cacheSize: *cacheSize,
-			timeout: *timeout, m: *m, pagePolicy: *pagePolicy, listPolicy: *listPolicy,
-			par: *par, pprofAddr: *pprofAddr, traceBuf: *traceBuf, slowLog: *slowLog,
-			adaptive: *adaptive, explore: *explore, decay: *decay,
-		})
-		return
-	}
-
-	var db *core.Database
-	if *dbDir != "" {
-		var err error
-		if db, err = core.OpenDatabase(*dbDir); err != nil {
-			fatal(err)
-		}
-		log.Printf("opened database %s: n=%d |G|=%d", *dbDir, db.N(), db.NumArcs())
+		graphs, replayArgs = openGraphs(*graphsSpec)
 	} else {
-		arcs, err := graphgen.Generate(graphgen.Params{Nodes: *n, OutDegree: *f, Locality: *l, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		db = core.NewDatabase(*n, arcs)
-		log.Printf("generated database: n=%d F=%d l=%d seed=%d |G|=%d", *n, *f, *l, *seed, db.NumArcs())
-	}
-
-	var idx *index.Index
-	if *indexFile != "" {
-		var err error
-		if idx, err = index.LoadFile(*indexFile); err != nil {
-			fatal(err)
-		}
-		if idx.N() != db.N() {
-			fatal(fmt.Errorf("index %s covers %d nodes but the database has %d", *indexFile, idx.N(), db.N()))
-		}
-		if idx.Stale() {
-			log.Printf("warning: index %s is stale; /v1/reach will use the engine path", *indexFile)
+		var db *core.Database
+		// The replay fragment reconstructs the served graph for slow-query
+		// log entries: tcquery <replayArgs> <request flags> -trace reruns the
+		// same engine work offline.
+		if *dbDir != "" {
+			var err error
+			if db, err = core.OpenDatabase(*dbDir); err != nil {
+				fatal(err)
+			}
+			log.Printf("opened database %s: n=%d |G|=%d", *dbDir, db.N(), db.NumArcs())
+			replayArgs = fmt.Sprintf("-db %s", *dbDir)
 		} else {
+			arcs, err := graphgen.Generate(graphgen.Params{Nodes: *n, OutDegree: *f, Locality: *l, Seed: *seed})
+			if err != nil {
+				fatal(err)
+			}
+			db = core.NewDatabase(*n, arcs)
+			log.Printf("generated database: n=%d F=%d l=%d seed=%d |G|=%d", *n, *f, *l, *seed, db.NumArcs())
+			replayArgs = fmt.Sprintf("-n %d -f %d -l %d -seed %d", *n, *f, *l, *seed)
+		}
+
+		var idx *index.Index
+		if *indexFile != "" {
+			var err error
+			if idx, err = index.LoadFile(*indexFile); err != nil {
+				fatal(err)
+			}
+			if idx.N() != db.N() {
+				fatal(fmt.Errorf("index %s covers %d nodes but the database has %d", *indexFile, idx.N(), db.N()))
+			}
 			log.Printf("loaded index %s (%s decomposition, k=%d chains): /v1/reach served in O(1) with zero page I/O",
 				*indexFile, idx.Builder(), idx.Chains())
 		}
-	}
 
-	var dyn *dynamic.Service
-	if *mutable {
-		arcs, err := db.Arcs()
-		if err != nil {
-			fatal(err)
-		}
-		base := idx
-		if base == nil || base.Stale() {
-			// No (usable) prebuilt index: seal generation zero ourselves.
-			if base, err = index.Build(graph.New(db.N(), arcs)); err != nil {
+		if *mutable {
+			arcs, err := db.Arcs()
+			if err != nil {
 				fatal(err)
 			}
+			base := idx
+			if base == nil {
+				// No prebuilt index: seal generation zero ourselves.
+				if base, err = index.Build(graph.New(db.N(), arcs)); err != nil {
+					fatal(err)
+				}
+			}
+			fp, err := db.Fingerprint()
+			if err != nil {
+				fatal(err)
+			}
+			dyn, err = dynamic.New(db.N(), arcs, base, dynamic.Options{
+				BaseFingerprint: fp,
+				MaxBatchOps:     *maxBatch,
+				MaxPending:      *maxPending,
+			})
+			if err != nil {
+				fatal(err)
+			}
+			defer dyn.Close()
+			log.Printf("mutable graph service: POST /v1/arc enabled (maxbatch=%d maxpending=%d)", *maxBatch, *maxPending)
 		}
-		fp, err := db.Fingerprint()
-		if err != nil {
-			fatal(err)
-		}
-		dyn, err = dynamic.New(db.N(), arcs, base, dynamic.Options{
-			BaseFingerprint: fp,
-			MaxBatchOps:     *maxBatch,
-			MaxPending:      *maxPending,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer dyn.Close()
-		log.Printf("mutable graph service: POST /v1/arc enabled (maxbatch=%d maxpending=%d)", *maxBatch, *maxPending)
+		graphs = []server.NamedGraph{{DB: db, Index: idx}}
 	}
 
-	// The replay fragment reconstructs the served graph for slow-query log
-	// entries: tcquery <replayArgs> <request flags> -trace reruns the same
-	// engine work offline.
-	replayArgs := fmt.Sprintf("-n %d -f %d -l %d -seed %d", *n, *f, *l, *seed)
-	if *dbDir != "" {
-		replayArgs = fmt.Sprintf("-db %s", *dbDir)
-	}
-
-	srv := server.New(db, server.Options{
+	srv, err := server.NewMulti(graphs, server.Options{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheEntries:   *cacheSize,
@@ -202,7 +196,6 @@ func main() {
 			ListPolicy:  *listPolicy,
 			Parallelism: *par,
 		},
-		Index:       idx,
 		Dynamic:     dyn,
 		Planner:     planner.Config{Decay: *decay, Epsilon: *explore},
 		StaticPlan:  !*adaptive,
@@ -210,27 +203,23 @@ func main() {
 		SlowQuery:   *slowLog,
 		ReplayArgs:  replayArgs,
 	})
-	log.Printf("tcserve listening on %s (workers=%d queue=%d cache=%d timeout=%s)",
-		*addr, *workers, *queue, *cacheSize, *timeout)
+	if err != nil {
+		fatal(err)
+	}
+	if *graphsSpec != "" {
+		log.Printf("tcserve listening on %s serving %d graphs %v (default %s, workers=%d queue=%d/tenant cache=%d/tenant)",
+			*addr, len(graphs), srv.Graphs(), graphs[0].Name, *workers, *queue, *cacheSize)
+	} else {
+		log.Printf("tcserve listening on %s (workers=%d queue=%d cache=%d timeout=%s)",
+			*addr, *workers, *queue, *cacheSize, *timeout)
+	}
 	runHTTP(*addr, *pprofAddr, srv)
 }
 
-// serveOptions carries the flag values shared by the single- and
-// multi-graph paths.
-type serveOptions struct {
-	addr, pagePolicy, listPolicy, pprofAddr string
-	workers, queue, cacheSize, m, par       int
-	traceBuf                                int
-	timeout, slowLog                        time.Duration
-	adaptive                                bool
-	explore, decay                          float64
-}
-
-// serveMulti hosts several named graphs from one process: -graphs
-// name=dbdir,... opened via core.OpenDatabase, first listed is the default
-// tenant.
-func serveMulti(spec string, o serveOptions) {
-	var graphs []server.NamedGraph
+// openGraphs opens the -graphs tenants, name=dbdir,... via
+// core.OpenDatabase; the first listed is the default tenant, which the
+// returned replay fragment describes.
+func openGraphs(spec string) (graphs []server.NamedGraph, replayArgs string) {
 	for _, part := range strings.Split(spec, ",") {
 		name, dir, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok || name == "" || dir == "" {
@@ -241,30 +230,12 @@ func serveMulti(spec string, o serveOptions) {
 			fatal(fmt.Errorf("graph %s: %w", name, err))
 		}
 		log.Printf("opened graph %s from %s: n=%d |G|=%d", name, dir, db.N(), db.NumArcs())
+		if len(graphs) == 0 {
+			replayArgs = fmt.Sprintf("-db %s", dir)
+		}
 		graphs = append(graphs, server.NamedGraph{Name: name, DB: db})
 	}
-	srv, err := server.NewMulti(graphs, server.Options{
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		CacheEntries:   o.cacheSize,
-		DefaultTimeout: o.timeout,
-		DefaultConfig: core.Config{
-			BufferPages: o.m,
-			PagePolicy:  o.pagePolicy,
-			ListPolicy:  o.listPolicy,
-			Parallelism: o.par,
-		},
-		Planner:     planner.Config{Decay: o.decay, Epsilon: o.explore},
-		StaticPlan:  !o.adaptive,
-		TraceBuffer: o.traceBuf,
-		SlowQuery:   o.slowLog,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	log.Printf("tcserve listening on %s serving %d graphs %v (default %s, workers=%d queue=%d/tenant cache=%d/tenant)",
-		o.addr, len(graphs), srv.Graphs(), graphs[0].Name, o.workers, o.queue, o.cacheSize)
-	runHTTP(o.addr, o.pprofAddr, srv)
+	return graphs, replayArgs
 }
 
 // runHTTP runs the serving lifecycle: listen, optional pprof sidecar, and

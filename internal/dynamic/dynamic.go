@@ -137,9 +137,6 @@ func New(n int, arcs []graph.Arc, idx *index.Index, opts Options) (*Service, err
 	if idx.N() != n {
 		return nil, fmt.Errorf("dynamic: index covers %d nodes, graph has %d", idx.N(), n)
 	}
-	if idx.Stale() {
-		return nil, errors.New("dynamic: refusing a stale index; rebuild it first")
-	}
 	if opts.MaxBatchOps <= 0 {
 		opts.MaxBatchOps = 1024
 	}
@@ -274,9 +271,9 @@ func (s *Service) applyOpLocked(o Op, res *Result) logOp {
 		}
 		merged, err := s.idx.InsertArcMerge(o.From, o.To)
 		if err != nil {
-			// Defensive: the only in-range failure is a stale index, which
-			// New refuses and the merge path never produces. Fall back to
-			// the rebuild path rather than serving wrong answers.
+			// Defensive: the index rejects only an out-of-range arc, which
+			// batch validation never lets through. Fall back to the rebuild
+			// path rather than serving wrong answers.
 			s.dirty = true
 			s.pendIns++
 			return lo

@@ -15,7 +15,7 @@ import (
 //
 //	magic   "TCIX"                                   4 bytes
 //	version u32 = 1
-//	header  u32 n, u32 K, u32 numChains, u32 numArcs, u32 flags (bit0 stale)
+//	header  u32 n, u32 K, u32 numChains, u32 numArcs, u32 flags (bit0 reserved, bit1 kt)
 //	comp    n   x i32       condensation map, nodes 1..n
 //	chains  K   x i32       chainID per DAG node (0-based)
 //	        K   x i32       chainPos per DAG node
@@ -24,13 +24,18 @@ import (
 //	crc32   u32             IEEE CRC of every preceding byte
 //
 // Load rejects a wrong magic, an unknown version, a CRC mismatch
-// (truncation, bit flips) and any structurally inconsistent section.
+// (truncation, bit flips), a set reserved flag bit and any structurally
+// inconsistent section.
 
 const (
 	fileMagic   = "TCIX"
 	fileVersion = 1
 
-	flagStale = 1 << 0
+	// flagReserved once marked an index an insert had invalidated. No
+	// writer sets it any more (a cycle-closing insert collapses the new
+	// component in place), and Load refuses a file that carries it: its
+	// labels describe a graph older than its arc count.
+	flagReserved = 1 << 0
 	// flagKT records that the chains came from the Kritikakis–Tollis
 	// builder (BuildKT). Readers that predate the flag ignore unknown
 	// bits, and the chain sections are structurally identical either way,
@@ -52,9 +57,6 @@ func (x *Index) Save(w io.Writer) error {
 	buf = le32(buf, uint32(x.numChains))
 	buf = le32(buf, uint32(x.numArcs))
 	var flags uint32
-	if x.stale {
-		flags |= flagStale
-	}
 	if x.builder == BuilderKT {
 		flags |= flagKT
 	}
@@ -143,6 +145,9 @@ func Load(r io.Reader) (*Index, error) {
 	numChains := int(c.u32())
 	numArcs := int(c.u32())
 	flags := c.u32()
+	if c.err == nil && flags&flagReserved != 0 {
+		return nil, fmt.Errorf("index: load: reserved flag bit 0 set (an index invalidated by an insert): rebuild it")
+	}
 	builder := BuilderGreedy
 	if flags&flagKT != 0 {
 		builder = BuilderKT
@@ -162,7 +167,6 @@ func Load(r io.Reader) (*Index, error) {
 		numArcs:   numArcs,
 		numChains: numChains,
 		builder:   builder,
-		stale:     flags&flagStale != 0,
 		comp:      make([]int32, n+1),
 		chainID:   make([]int32, k+1),
 		chainPos:  make([]int32, k+1),
@@ -225,7 +229,7 @@ func Load(r io.Reader) (*Index, error) {
 		}
 		filled[ci][p] = true
 	}
-	x.rebuildChains()
+	x.chains = chainsOf(x.chainID, x.chainPos, numChains)
 
 	for d := 1; d <= k; d++ {
 		cnt := int(c.u32())

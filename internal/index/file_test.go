@@ -34,7 +34,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y.N() != x.N() || y.NumArcs() != x.NumArcs() || y.Stale() != x.Stale() {
+	if y.N() != x.N() || y.NumArcs() != x.NumArcs() {
 		t.Fatalf("shape changed: n %d->%d arcs %d->%d", x.N(), y.N(), x.NumArcs(), y.NumArcs())
 	}
 	for u := int32(1); u <= int32(g.N()); u += 7 {
@@ -45,7 +45,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The loaded index keeps full functionality: inserts and stats work.
-	if err := y.InsertArc(1, int32(g.N())); err != nil && err != ErrStale {
+	if _, err := y.InsertArcMerge(1, int32(g.N())); err != nil {
 		t.Fatal(err)
 	}
 	if st := y.ComputeStats(); st.Nodes != g.N() {
@@ -53,12 +53,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadPreservesStaleAndSelfLoops(t *testing.T) {
+func TestSaveLoadPreservesSelfLoops(t *testing.T) {
 	g := graph.New(3, []graph.Arc{{From: 1, To: 2}, {From: 3, To: 3}})
 	x := mustBuild(t, g)
-	if err := x.InsertArc(2, 1); err != ErrStale {
-		t.Fatalf("expected ErrStale, got %v", err)
-	}
 	var buf bytes.Buffer
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -67,11 +64,26 @@ func TestSaveLoadPreservesStaleAndSelfLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !y.Stale() {
-		t.Fatal("stale flag lost across save/load")
-	}
 	if !y.Reach(3, 3) || y.Reach(1, 1) {
 		t.Fatal("self-loop bitset lost across save/load")
+	}
+}
+
+// TestLoadRejectsStaleFlag: flag bit 0 once marked an index an insert had
+// invalidated. No writer sets it any more, and a file carrying it — its
+// labels older than its graph — must be refused, whichever builder wrote it.
+func TestLoadRejectsStaleFlag(t *testing.T) {
+	g := testGraph(t)
+	for _, x := range []*Index{mustBuild(t, g), mustBuildKT(t, g, 1)} {
+		var buf bytes.Buffer
+		if err := x.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), buf.Bytes()...)
+		bad[24] |= 1 // flags word: magic, version, n, K, numChains, numArcs precede it
+		if _, err := Load(bytes.NewReader(refreshCRC(bad))); err == nil || !strings.Contains(err.Error(), "reserved flag") {
+			t.Fatalf("%s index with flag bit 0 set: %v", x.Builder(), err)
+		}
 	}
 }
 

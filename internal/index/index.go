@@ -13,13 +13,12 @@
 // component lookup, one bitset probe (O(1) negative answer) and one binary
 // search over the node's reached chains (O(log k)).
 //
-// The index supports incremental maintenance (InsertArc) in the spirit of
-// Hanauer & Henzinger ("Faster Fully Dynamic Transitive Closure in
+// The index supports incremental maintenance (InsertArcMerge) in the spirit
+// of Hanauer & Henzinger ("Faster Fully Dynamic Transitive Closure in
 // Practice"): inserts that keep the condensation acyclic are folded into
-// the labels in place; an insert that would create a new cycle among
-// components invalidates every stored topological invariant and instead
-// flags the index stale, at which point callers fall back to the engine
-// path rather than trusting it.
+// the labels in place; an insert that closes a cycle among components
+// creates exactly one new strongly connected component, which is collapsed
+// in place — the index never has to give up on an insert.
 package index
 
 import (
@@ -74,13 +73,13 @@ const (
 )
 
 // Index is a reachability index over a directed graph on nodes 1..n. It is
-// safe for concurrent use: queries take a read lock, InsertArc a write
-// lock.
+// safe for concurrent use: queries take a read lock, the in-place
+// mutations (InsertArcMerge and the delete patches) a write lock.
 type Index struct {
 	mu sync.RWMutex
 
 	n       int     // original node count
-	numArcs int     // arcs in the indexed graph (updated by InsertArc)
+	numArcs int     // arcs in the indexed graph (updated by the in-place mutations)
 	builder string  // decomposition that produced the chains
 	comp    []int32 // node -> condensation component, len n+1
 	members [][]int32
@@ -94,32 +93,27 @@ type Index struct {
 	succ     []int32     // per DAG node, exact successor count (see recomputeSucc)
 	pred     []int32     // per DAG node, live predecessor count (see recomputeSucc)
 	selfLoop *bitset.Set // original nodes with a self-arc
-	stale    bool
-	gen      int // in-place inserts folded since build/load (not persisted)
+	gen      int         // in-place mutations folded since build/load (not persisted)
 }
 
-// Build constructs the index for g. Cyclic graphs are handled through SCC
-// condensation; self-arcs are recorded so closure semantics (a node reaches
-// itself only through a cycle) are preserved.
-func Build(g *graph.Graph) (*Index, error) {
+// newSkeleton is the part of an index both builders share: the
+// condensation of g, its topological order, and an Index holding everything
+// that does not depend on the chain decomposition — component map, member
+// lists, self-loops, empty label slots.
+func newSkeleton(g *graph.Graph, builder string) (x *Index, dag *graph.Graph, order []int32, err error) {
 	n := g.N()
 	cond := g.Condense()
-	dag := cond.DAG
-	k := dag.N()
-	order, err := dag.TopoSort()
-	if err != nil {
-		return nil, fmt.Errorf("index: condensation not acyclic: %w", err)
+	dag = cond.DAG
+	if order, err = dag.TopoSort(); err != nil {
+		return nil, nil, nil, fmt.Errorf("index: condensation not acyclic: %w", err)
 	}
-
-	x := &Index{
+	x = &Index{
 		n:        n,
 		numArcs:  g.NumArcs(),
-		builder:  BuilderGreedy,
+		builder:  builder,
 		comp:     cond.Component,
 		members:  cond.Members,
-		chainID:  make([]int32, k+1),
-		chainPos: make([]int32, k+1),
-		labels:   make([]label, k+1),
+		labels:   make([]label, dag.N()+1),
 		selfLoop: bitset.New(n + 1),
 	}
 	for v := int32(1); v <= int32(n); v++ {
@@ -127,39 +121,59 @@ func Build(g *graph.Graph) (*Index, error) {
 			x.selfLoop.Add(v)
 		}
 	}
+	return x, dag, order, nil
+}
 
-	// Greedy chain decomposition: walk the DAG in topological order and
-	// append each node to a chain whose current tail is one of its parents,
-	// opening a new chain otherwise. Every chain is a path, so positions
-	// along it order reachability.
+// greedyCover is the greedy chain decomposition: walk the DAG in
+// topological order and append each node to a chain whose current tail is
+// one of its parents, opening a new chain otherwise. Every chain is a
+// path, so positions along it order reachability. It returns the per-node
+// (chain, position) columns and each chain's tail; chain ids come out in
+// topological order of their heads.
+func greedyCover(dag *graph.Graph, order []int32) (chainID, chainPos, tails []int32) {
+	k := dag.N()
 	rev := make([][]int32, k+1)
 	for _, a := range dag.Arcs() {
 		rev[a.To] = append(rev[a.To], a.From)
 	}
-	var tails []int32
-	for i := range x.chainID {
-		x.chainID[i] = -1
+	chainID, chainPos = make([]int32, k+1), make([]int32, k+1)
+	for i := range chainID {
+		chainID[i] = -1
 	}
 	for _, v := range order {
 		placed := false
 		for _, p := range rev[v] {
-			c := x.chainID[p]
+			c := chainID[p]
 			if c >= 0 && tails[c] == p {
-				x.chainID[v] = c
-				x.chainPos[v] = x.chainPos[p] + 1
+				chainID[v] = c
+				chainPos[v] = chainPos[p] + 1
 				tails[c] = v
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			x.chainID[v] = int32(len(tails))
-			x.chainPos[v] = 0
+			chainID[v] = int32(len(tails))
+			chainPos[v] = 0
 			tails = append(tails, v)
 		}
 	}
+	return chainID, chainPos, tails
+}
+
+// Build constructs the index for g over the greedy chain cover. Cyclic
+// graphs are handled through SCC condensation; self-arcs are recorded so
+// closure semantics (a node reaches itself only through a cycle) are
+// preserved.
+func Build(g *graph.Graph) (*Index, error) {
+	x, dag, order, err := newSkeleton(g, BuilderGreedy)
+	if err != nil {
+		return nil, err
+	}
+	var tails []int32
+	x.chainID, x.chainPos, tails = greedyCover(dag, order)
 	x.numChains = len(tails)
-	x.rebuildChains()
+	x.chains = chainsOf(x.chainID, x.chainPos, x.numChains)
 
 	// Closure labels in reverse topological order: a node reaches, through
 	// each child, the child itself plus everything the child reaches. The
@@ -217,20 +231,21 @@ func packLabel(dense []int32, touched []int32, numChains int) label {
 	return l
 }
 
-// rebuildChains derives the chain -> members-in-order view from the
-// per-node chainID/chainPos columns (also used after Load).
-func (x *Index) rebuildChains() {
-	counts := make([]int32, x.numChains)
-	for d := 1; d < len(x.chainID); d++ {
-		counts[x.chainID[d]]++
+// chainsOf derives the chain -> members-in-order view from per-node
+// (chainID, chainPos) columns over DAG nodes 1..len-1.
+func chainsOf(chainID, chainPos []int32, numChains int) [][]int32 {
+	counts := make([]int32, numChains)
+	for d := 1; d < len(chainID); d++ {
+		counts[chainID[d]]++
 	}
-	x.chains = make([][]int32, x.numChains)
-	for c := range x.chains {
-		x.chains[c] = make([]int32, counts[c])
+	chains := make([][]int32, numChains)
+	for c := range chains {
+		chains[c] = make([]int32, counts[c])
 	}
-	for d := 1; d < len(x.chainID); d++ {
-		x.chains[x.chainID[d]][x.chainPos[d]] = int32(d)
+	for d := 1; d < len(chainID); d++ {
+		chains[chainID[d]][chainPos[d]] = int32(d)
 	}
+	return chains
 }
 
 func hasArc(children []int32, v int32) bool {
@@ -253,25 +268,15 @@ func (x *Index) Chains() int {
 	return x.numChains
 }
 
-// NumArcs reports the number of arcs in the indexed graph, counting arcs
-// accepted by InsertArc since the build.
+// NumArcs reports the number of arcs in the indexed graph, counting the
+// in-place inserts and deletes since the build.
 func (x *Index) NumArcs() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.numArcs
 }
 
-// Stale reports whether an order-violating insert has invalidated the
-// index. A stale index still answers queries, but the answers reflect the
-// graph before the violating insert; callers should fall back to the
-// engine path.
-func (x *Index) Stale() bool {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.stale
-}
-
-// Generation reports how many arcs InsertArc has folded in place since
+// Generation reports how many mutations have been folded in place since
 // the index was built or loaded. A freshly built or loaded index is
 // generation 0; the counter is not persisted by Save. Replicas serving
 // the same index file at the same generation give identical answers,
@@ -455,9 +460,8 @@ type Stats struct {
 	FileBytes    int64   // exact serialized size Save would write
 	BytesPerNode float64 // FileBytes / Nodes (0 for an empty graph)
 	ChainOverlap float64 // fraction of sampled label pairs whose chain sets intersect
-	Stale        bool
-	Generation   int // in-place mutations folded since build/load
-	Merged       int // components absorbed by cycle-collapsing inserts
+	Generation   int     // in-place mutations folded since build/load
+	Merged       int     // components absorbed by cycle-collapsing inserts
 }
 
 // ComputeStats derives the summary. ChainOverlap samples up to 64
@@ -477,7 +481,6 @@ func (x *Index) ComputeStats() Stats {
 		Components: k,
 		Chains:     x.numChains,
 		Builder:    x.builder,
-		Stale:      x.stale,
 		Generation: x.gen,
 	}
 	sizes := make([]int, 0, k)

@@ -117,11 +117,8 @@ func TestInsertArcInPlace(t *testing.T) {
 	if x.Reach(1, 6) {
 		t.Fatal("disjoint halves reachable before insert")
 	}
-	if err := x.InsertArc(3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if x.Stale() {
-		t.Fatal("acyclic insert flagged stale")
+	if merged, err := x.InsertArcMerge(3, 4); err != nil || merged != 0 {
+		t.Fatalf("acyclic insert: merged %d components, err %v", merged, err)
 	}
 	g2 := graph.New(6, append(g.Arcs(), graph.Arc{From: 3, To: 4}))
 	reachAgainstClosure(t, g2, x)
@@ -129,7 +126,7 @@ func TestInsertArcInPlace(t *testing.T) {
 		t.Fatalf("NumArcs = %d after insert, want 5", x.NumArcs())
 	}
 	// A redundant insert and a duplicate insert change nothing.
-	if err := x.InsertArc(1, 6); err != nil {
+	if _, err := x.InsertArcMerge(1, 6); err != nil {
 		t.Fatal(err)
 	}
 	reachAgainstClosure(t, g2, x)
@@ -141,8 +138,8 @@ func TestInsertArcBackwardButAcyclic(t *testing.T) {
 	// must be folded in place.
 	g := graph.New(3, []graph.Arc{{From: 1, To: 2}})
 	x := mustBuild(t, g)
-	if err := x.InsertArc(3, 1); err != nil {
-		t.Fatal(err)
+	if merged, err := x.InsertArcMerge(3, 1); err != nil || merged != 0 {
+		t.Fatalf("backward acyclic insert: merged %d components, err %v", merged, err)
 	}
 	if !x.Reach(3, 2) || !x.Reach(3, 1) || x.Reach(1, 3) {
 		t.Fatal("backward acyclic insert mishandled")
@@ -152,43 +149,24 @@ func TestInsertArcBackwardButAcyclic(t *testing.T) {
 func TestInsertArcSelfLoop(t *testing.T) {
 	g := diamond()
 	x := mustBuild(t, g)
-	if err := x.InsertArc(2, 2); err != nil {
+	if _, err := x.InsertArcMerge(2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !x.Reach(2, 2) {
 		t.Fatal("self-loop not recorded")
 	}
-	if x.Reach(3, 3) || x.Stale() {
-		t.Fatal("self-loop leaked or marked stale")
-	}
-}
-
-func TestInsertArcCycleGoesStale(t *testing.T) {
-	g := diamond()
-	x := mustBuild(t, g)
-	if err := x.InsertArc(4, 1); err != ErrStale {
-		t.Fatalf("cycle-creating insert returned %v, want ErrStale", err)
-	}
-	if !x.Stale() {
-		t.Fatal("index not stale after cycle insert")
-	}
-	// Stale indexes reject all further inserts but still answer from the
-	// pre-insert state.
-	if err := x.InsertArc(1, 4); err != ErrStale {
-		t.Fatalf("stale index accepted insert: %v", err)
-	}
-	if !x.Reach(1, 4) || x.Reach(4, 1) {
-		t.Fatal("stale index lost its pre-insert answers")
+	if x.Reach(3, 3) {
+		t.Fatal("self-loop leaked")
 	}
 }
 
 func TestInsertArcRejectsOutOfRange(t *testing.T) {
 	x := mustBuild(t, diamond())
-	if err := x.InsertArc(0, 2); err == nil || err == ErrStale {
-		t.Fatalf("InsertArc(0,2) = %v", err)
+	if _, err := x.InsertArcMerge(0, 2); err == nil {
+		t.Fatal("InsertArcMerge(0,2) accepted")
 	}
-	if err := x.InsertArc(2, 9); err == nil || err == ErrStale {
-		t.Fatalf("InsertArc(2,9) = %v", err)
+	if _, err := x.InsertArcMerge(2, 9); err == nil {
+		t.Fatal("InsertArcMerge(2,9) accepted")
 	}
 }
 
@@ -200,9 +178,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if st.Chains < 1 || st.Chains > 4 {
 		t.Fatalf("implausible chain count %d", st.Chains)
-	}
-	if st.Stale {
-		t.Fatal("fresh index reported stale")
 	}
 	if st.AvgLabel <= 0 {
 		t.Fatalf("AvgLabel = %f", st.AvgLabel)

@@ -1,61 +1,5 @@
 package index
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrStale is returned by InsertArc for an insert the index cannot fold in
-// place: the arc closes a cycle among condensation components, so every
-// stored topological invariant (component identity, chain positions) is
-// violated. The index is flagged stale; callers fall back to the engine
-// path or rebuild.
-var ErrStale = errors.New("index: insert creates a component cycle; index is stale")
-
-// InsertArc folds the arc (u,v) into the index in place. Inserts that
-// respect the condensation's topological order — they do not make v's
-// component reach u's — cost one label-merge sweep over the components
-// that reach u; the chain structure is untouched, because reachability
-// only grows and chain positions keep ordering it. A cycle-creating insert
-// flags the index stale and returns ErrStale. A stale index rejects all
-// further inserts.
-func (x *Index) InsertArc(u, v int32) error {
-	if u < 1 || v < 1 || int(u) > x.n || int(v) > x.n {
-		return fmt.Errorf("index: arc (%d,%d) outside 1..%d", u, v, x.n)
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.stale {
-		return ErrStale
-	}
-	if u == v {
-		x.selfLoop.Add(u)
-		x.numArcs++
-		x.gen++
-		return nil
-	}
-	cu, cv := x.comp[u], x.comp[v]
-	if cu == cv {
-		// Both endpoints already share a (non-trivial) component; the arc
-		// adds no reachability.
-		x.numArcs++
-		x.gen++
-		return nil
-	}
-	if x.dagReach(cv, cu) {
-		// v already reaches u, so u->v merges components: order-violating.
-		x.stale = true
-		return ErrStale
-	}
-	x.numArcs++
-	x.gen++
-	if x.dagReach(cu, cv) {
-		return nil // already reachable; labels are transitively closed
-	}
-	x.foldAcyclicLocked(cu, cv)
-	return nil
-}
-
 // foldAcyclicLocked merges the closure contribution of the new arc
 // cu -> cv (cv itself plus everything cv reaches) into every live
 // component that reaches cu, cu included. Membership is answered by the

@@ -34,7 +34,6 @@ package index
 // consumed in fixed chain order, and the greedy linking pass is serial.
 
 import (
-	"fmt"
 	"sort"
 
 	"tcstudy/internal/bitset"
@@ -63,68 +62,18 @@ func BuildKT(g *graph.Graph, opt KTOptions) (*Index, error) {
 	if par < 1 {
 		par = 1
 	}
-	n := g.N()
-	cond := g.Condense()
-	dag := cond.DAG
-	k := dag.N()
-	order, err := dag.TopoSort()
+	x, dag, order, err := newSkeleton(g, BuilderKT)
 	if err != nil {
-		return nil, fmt.Errorf("index: condensation not acyclic: %w", err)
+		return nil, err
 	}
+	k := dag.N()
 
-	x := &Index{
-		n:        n,
-		numArcs:  g.NumArcs(),
-		builder:  BuilderKT,
-		comp:     cond.Component,
-		members:  cond.Members,
-		chainID:  make([]int32, k+1),
-		chainPos: make([]int32, k+1),
-		labels:   make([]label, k+1),
-		selfLoop: bitset.New(n + 1),
-	}
-	for v := int32(1); v <= int32(n); v++ {
-		if hasArc(g.Children(v), v) {
-			x.selfLoop.Add(v)
-		}
-	}
-
-	// Phase 1 — node-order path heuristic: the same topological sweep the
-	// greedy builder runs, appending each node to a chain whose current
-	// tail is one of its parents and opening a new chain otherwise. Using
-	// the greedy cover as the starting partition makes phase 2 a strict
-	// coarsening of the greedy decomposition: every merged chain is a
-	// concatenation of greedy chains, so no label can gain entries and
-	// both k and the serialized size only move down. Chain ids come out
-	// in topological order of their heads.
-	rev := make([][]int32, k+1)
-	for _, a := range dag.Arcs() {
-		rev[a.To] = append(rev[a.To], a.From)
-	}
-	initID := make([]int32, k+1)
-	initPos := make([]int32, k+1)
-	for i := range initID {
-		initID[i] = -1
-	}
-	var tails []int32 // per initial chain, its current tail DAG node
-	for _, v := range order {
-		placed := false
-		for _, p := range rev[v] {
-			c := initID[p]
-			if c >= 0 && tails[c] == p {
-				initID[v] = c
-				initPos[v] = initPos[p] + 1
-				tails[c] = v
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			initID[v] = int32(len(tails))
-			initPos[v] = 0
-			tails = append(tails, v)
-		}
-	}
+	// Phase 1 — node-order path heuristic: the greedy builder's cover.
+	// Using it as the starting partition makes phase 2 a strict coarsening
+	// of the greedy decomposition: every merged chain is a concatenation
+	// of greedy chains, so no label can gain entries and both k and the
+	// serialized size only move down.
+	initID, initPos, tails := greedyCover(dag, order)
 	k0 := len(tails)
 
 	// Phase 2 — concatenation reduction. A preliminary per-chain sweep
@@ -178,7 +127,8 @@ func BuildKT(g *graph.Graph, opt KTOptions) (*Index, error) {
 	// Renumber: every unclaimed head starts a merged chain; walking the
 	// link list concatenates the phase-1 paths into one position-ordered
 	// sequence. Merged chain ids follow ascending first-head order.
-	initChains := chainsFromColumns(initID, initPos, k0, k)
+	initChains := chainsOf(initID, initPos, k0)
+	x.chainID, x.chainPos = make([]int32, k+1), make([]int32, k+1)
 	nc := 0
 	for a := 0; a < k0; a++ {
 		if claimed[a] {
@@ -195,7 +145,7 @@ func BuildKT(g *graph.Graph, opt KTOptions) (*Index, error) {
 		nc++
 	}
 	x.numChains = nc
-	x.rebuildChains()
+	x.chains = chainsOf(x.chainID, x.chainPos, nc)
 
 	// Final labels over the merged coordinates: the same per-chain sweeps,
 	// gathered into per-node compressed labels. Batches arrive in
@@ -347,23 +297,6 @@ func fillChainRow(dag *graph.Graph, order []int32, chainID, chainPos []int32, c 
 		}
 		row[v] = best
 	}
-}
-
-// chainsFromColumns derives chain member lists in position order from
-// per-node (chainID, chainPos) columns over DAG nodes 1..k.
-func chainsFromColumns(chainID, chainPos []int32, numChains, k int) [][]int32 {
-	counts := make([]int32, numChains)
-	for d := 1; d <= k; d++ {
-		counts[chainID[d]]++
-	}
-	out := make([][]int32, numChains)
-	for c := range out {
-		out[c] = make([]int32, counts[c])
-	}
-	for d := 1; d <= k; d++ {
-		out[chainID[d]][chainPos[d]] = int32(d)
-	}
-	return out
 }
 
 // parallelRange splits 0..n across at most par workers as contiguous

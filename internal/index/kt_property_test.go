@@ -104,11 +104,11 @@ func TestKTFiftySeedEquivalence(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			u := int32(rng.Intn(nodes-1) + 1)
 			v := u + int32(rng.Intn(nodes-int(u))) + 1
-			if err := xg.InsertArc(u, v); err != nil {
-				t.Fatalf("seed %d: greedy InsertArc(%d,%d): %v", seed, u, v, err)
+			if _, err := xg.InsertArcMerge(u, v); err != nil {
+				t.Fatalf("seed %d: greedy InsertArcMerge(%d,%d): %v", seed, u, v, err)
 			}
-			if err := xk.InsertArc(u, v); err != nil {
-				t.Fatalf("seed %d: kt InsertArc(%d,%d): %v", seed, u, v, err)
+			if _, err := xk.InsertArcMerge(u, v); err != nil {
+				t.Fatalf("seed %d: kt InsertArcMerge(%d,%d): %v", seed, u, v, err)
 			}
 			grown = append(grown, graph.Arc{From: u, To: v})
 		}

@@ -204,11 +204,11 @@ func TestKTInsertArc(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		u := int32(i*3%59) + 1
 		v := u + 1 + int32(i%int(60-u))
-		if err := xg.InsertArc(u, v); err != nil {
-			t.Fatalf("greedy InsertArc(%d,%d): %v", u, v, err)
+		if _, err := xg.InsertArcMerge(u, v); err != nil {
+			t.Fatalf("greedy InsertArcMerge(%d,%d): %v", u, v, err)
 		}
-		if err := xk.InsertArc(u, v); err != nil {
-			t.Fatalf("kt InsertArc(%d,%d): %v", u, v, err)
+		if _, err := xk.InsertArcMerge(u, v); err != nil {
+			t.Fatalf("kt InsertArcMerge(%d,%d): %v", u, v, err)
 		}
 	}
 	compareIndexes(t, xg, xk, "post-insert")

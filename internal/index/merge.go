@@ -5,11 +5,14 @@ import (
 	"sort"
 )
 
-// InsertArcMerge folds the arc (u,v) into the index in place like
-// InsertArc, but where InsertArc gives up on a cycle-creating insert by
-// flagging the index stale, InsertArcMerge collapses the new strongly
-// connected component in place and keeps serving. It returns the number of
-// components merged away (0 for acyclicity-preserving inserts).
+// InsertArcMerge folds the arc (u,v) into the index in place. An insert
+// that respects the condensation's topological order — it does not make
+// v's component reach u's — costs one label-merge sweep over the
+// components that reach u; the chain structure is untouched, because
+// reachability only grows and chain positions keep ordering it. An insert
+// that closes a cycle collapses the new strongly connected component in
+// place and keeps serving. It returns the number of components merged away
+// (0 for acyclicity-preserving inserts).
 //
 // The collapse follows the Hanauer & Henzinger observation that an insert
 // (u,v) with v's component already reaching u's creates exactly one new
@@ -27,9 +30,6 @@ func (x *Index) InsertArcMerge(u, v int32) (int, error) {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.stale {
-		return 0, ErrStale
-	}
 	if u == v {
 		x.selfLoop.Add(u)
 		x.numArcs++
@@ -132,9 +132,6 @@ func (x *Index) DeleteSelfLoop(u int32) error {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.stale {
-		return ErrStale
-	}
 	x.selfLoop.Remove(u)
 	x.numArcs--
 	x.gen++
@@ -153,9 +150,6 @@ func (x *Index) DeleteRedundantArc(u, v int32) error {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.stale {
-		return ErrStale
-	}
 	x.numArcs--
 	x.gen++
 	return nil

@@ -100,13 +100,10 @@ func TestIndexMatchesBTC(t *testing.T) {
 		for i := 0; i < tc.inserts; i++ {
 			u := int32((i*7+int(tc.seed))%(tc.nodes-1)) + 1
 			v := u + 1 + int32((i*3)%(tc.nodes-int(u)))
-			if err := x.InsertArc(u, v); err != nil {
-				t.Fatalf("InsertArc(%d,%d): %v", u, v, err)
+			if merged, err := x.InsertArcMerge(u, v); err != nil || merged != 0 {
+				t.Fatalf("InsertArcMerge(%d,%d): merged %d components, err %v", u, v, merged, err)
 			}
 			grown = append(grown, graph.Arc{From: u, To: v})
-		}
-		if x.Stale() {
-			t.Fatal("forward inserts marked the index stale")
 		}
 		compareAllPairs(t, x, engineClosure(t, tc.nodes, grown), tc.nodes, "post-insert")
 	}
@@ -134,8 +131,8 @@ func FuzzIndexReach(f *testing.F) {
 		}
 		arcs := g.Arcs()
 		for _, a := range extra {
-			if err := x.InsertArc(a.From, a.To); err != nil {
-				t.Fatalf("InsertArc(%d,%d): %v", a.From, a.To, err)
+			if merged, err := x.InsertArcMerge(a.From, a.To); err != nil || merged != 0 {
+				t.Fatalf("InsertArcMerge(%d,%d): merged %d components, err %v", a.From, a.To, merged, err)
 			}
 			arcs = append(arcs, a)
 		}

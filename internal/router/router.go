@@ -521,21 +521,9 @@ func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
 		rt.badRequest(w, "reach needs integer src and dst parameters")
 		return
 	}
-	rg := rt.snapshot()
-	if rg == nil {
-		rt.noReplicas(w)
-		return
+	if rt.forward(w, r, int32(src)) {
+		rt.met.ObserveLatency(time.Since(start))
 	}
-	tenant := r.URL.Query().Get("graph")
-	rt.met.TenantRequest(tenant)
-	out := rt.doShard(r.Context(), rg.rotation(int32(src)^tenantSalt(tenant)),
-		http.MethodGet, "/v1/reach?"+r.URL.RawQuery, nil)
-	if out.err != nil || out.status != http.StatusOK {
-		rt.failShard(w, out)
-		return
-	}
-	rt.met.ObserveLatency(time.Since(start))
-	relay(w, out)
 }
 
 // handlePlan proxies the planner ranking to one healthy replica — every
@@ -546,23 +534,27 @@ func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
 // densest evidence available.
 func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 	rt.met.Plans.Add(1)
+	rt.forward(w, r, 0)
+}
+
+// forward proxies a GET verbatim to one replica: the ring rotation for key
+// salted with the request's tenant, retried and hedged by doShard, the
+// reply relayed as is. It reports whether the replica answered 200.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key int32) bool {
 	rg := rt.snapshot()
 	if rg == nil {
 		rt.noReplicas(w)
-		return
+		return false
 	}
 	tenant := r.URL.Query().Get("graph")
 	rt.met.TenantRequest(tenant)
-	path := "/v1/plan"
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	out := rt.doShard(r.Context(), rg.rotation(tenantSalt(tenant)), http.MethodGet, path, nil)
+	out := rt.doShard(r.Context(), rg.rotation(key^tenantSalt(tenant)), http.MethodGet, r.URL.RequestURI(), nil)
 	if out.err != nil || out.status != http.StatusOK {
 		rt.failShard(w, out)
-		return
+		return false
 	}
 	relay(w, out)
+	return true
 }
 
 // handleHealthz reports the router's own health: the fleet fingerprint,

@@ -3,7 +3,6 @@ package server
 import (
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,7 +41,7 @@ type Metrics struct {
 	CacheMisses     *atomic.Int64 // executed by the engine
 	IndexHits       *atomic.Int64 // /v1/reach answered by the reachability index
 	OverlayReads    *atomic.Int64 // /v1/reach answered by the delta overlay mid-rebuild
-	EngineFallbacks *atomic.Int64 // /v1/reach forced through the engine (index absent or stale)
+	EngineFallbacks *atomic.Int64 // /v1/reach answered by the engine (the tenant has no index)
 	Deduplicated    *atomic.Int64 // coalesced onto an identical in-flight query
 	Rejected        *atomic.Int64 // 429: admission queue full
 	Timeouts        *atomic.Int64 // 504: request deadline expired
@@ -58,11 +57,11 @@ type Metrics struct {
 	// InFlight is the number of requests currently being processed.
 	InFlight *atomic.Int64
 
-	lat           latencyRing
-	latHist       *obsv.Histogram // request latency, seconds
-	admissionWait *obsv.Histogram // enqueue → engine slot granted, seconds
-	ratio         *obsv.Histogram // buffer-pool hit ratio of executed queries
-	phase         *obsv.Vec       // engine time by (algorithm, phase); series appear on first execution
+	lat           *ring[time.Duration] // recent request latencies, for the JSON quantiles
+	latHist       *obsv.Histogram      // request latency, seconds
+	admissionWait *obsv.Histogram      // enqueue → engine slot granted, seconds
+	ratio         *obsv.Histogram      // buffer-pool hit ratio of executed queries
+	phase         *obsv.Vec            // engine time by (algorithm, phase); series appear on first execution
 }
 
 // tenantCounters is one tenant's slice of the request counters. The global
@@ -80,7 +79,7 @@ type tenantCounters struct {
 // time. Index gauges cover the default tenant; per-tenant index state is
 // in /healthz.
 func newMetrics(s *Server) *Metrics {
-	m := &Metrics{start: time.Now(), reg: obsv.NewRegistry()}
+	m := &Metrics{start: time.Now(), reg: obsv.NewRegistry(), lat: newRing[time.Duration](latencyWindow)}
 	r := m.reg
 	count := func(v int) float64 { return float64(v) }
 	r.Gauge("tc_uptime_seconds", "Seconds since the server started.").
@@ -114,15 +113,16 @@ func newMetrics(s *Server) *Metrics {
 
 	// The serving index: the dynamic service when present (live generation,
 	// pending log, merge and rebuild counters), the static index otherwise.
-	var stale func() bool
+	// Only the dynamic service ever bypasses its sealed index.
+	stale := func() bool { return false }
 	var generation func() int64
 	if dyn := s.def.dyn; dyn != nil {
-		stale = func() bool { return dyn.Stats().Dirty || dyn.Index().Stale() }
+		stale = func() bool { return dyn.Stats().Dirty }
 		generation = func() int64 { return dyn.Stats().Generation }
 	} else if idx := s.def.idx; idx != nil {
-		stale, generation = idx.Stale, func() int64 { return int64(idx.Generation()) }
+		generation = func() int64 { return int64(idx.Generation()) }
 	}
-	if stale != nil {
+	if generation != nil {
 		r.Gauge("tc_index_stale", "1 while reads bypass the sealed index (stale static index or rebuild in flight).").
 			Func(func() float64 {
 				if stale() {
@@ -193,6 +193,9 @@ func newMetrics(s *Server) *Metrics {
 	return m
 }
 
+// millis is d in the wire's unit, fractional milliseconds.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // ObserveLatency records one served request's latency.
 func (m *Metrics) ObserveLatency(d time.Duration) {
 	m.lat.add(d)
@@ -241,7 +244,7 @@ func (m *Metrics) Snapshot() api.Snapshot {
 		PagesServed:      m.PagesServed.Load(),
 		TuplesServed:     m.TuplesServed.Load(),
 		InFlight:         m.InFlight.Load(),
-		LatencyMS:        m.lat.quantiles(),
+		LatencyMS:        quantiles(m.lat.snapshot()),
 	}
 	if up > 0 {
 		s.QPS = float64(s.Queries+s.Reaches+s.Plans) / up
@@ -256,45 +259,20 @@ func (m *Metrics) Snapshot() api.Snapshot {
 // covers well over a minute of traffic at the load generator's default rate.
 const latencyWindow = 4096
 
-// latencyRing keeps the most recent latencies for quantile estimation.
-type latencyRing struct {
-	mu    sync.Mutex
-	buf   [latencyWindow]time.Duration
-	next  int
-	total int64
-}
-
-func (r *latencyRing) add(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % latencyWindow
-	r.total++
-	r.mu.Unlock()
-}
-
-func (r *latencyRing) quantiles() api.LatencyQuantiles {
-	r.mu.Lock()
-	n := int(r.total)
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, r.buf[:n])
-	total := r.total
-	r.mu.Unlock()
+// quantiles summarises a latency window: order statistics of the retained
+// samples, and the true count of everything ever observed.
+func quantiles(samples []time.Duration, total int64) api.LatencyQuantiles {
+	n := len(samples)
 	if n == 0 {
 		return api.LatencyQuantiles{}
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	at := func(p float64) float64 {
-		i := int(p * float64(n-1))
-		return float64(samples[i]) / float64(time.Millisecond)
-	}
+	at := func(p float64) float64 { return millis(samples[int(p*float64(n-1))]) }
 	return api.LatencyQuantiles{
 		Count: total,
 		P50:   at(0.50),
 		P90:   at(0.90),
 		P99:   at(0.99),
-		Max:   float64(samples[n-1]) / float64(time.Millisecond),
+		Max:   millis(samples[n-1]),
 	}
 }

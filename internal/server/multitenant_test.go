@@ -162,7 +162,7 @@ func TestTenantPlannerIsolation(t *testing.T) {
 	// the statically worst candidate (far stronger than any real workload
 	// could be).
 	wideTn := s.tenants["wide"]
-	prof, err := wideTn.ensureProfile()
+	prof, err := wideTn.profile()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,38 +87,3 @@ func TestReachIndexValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestReachStaleIndexFallsBackToEngine(t *testing.T) {
-	s, url, idx := newIndexedServer(t, 60)
-	// Force staleness with a cycle-creating insert: find a reachable pair
-	// and close the loop.
-	var u, v int32
-	for u = 1; u <= 60 && v == 0; u++ {
-		for _, w := range idx.Successors(u) {
-			if w != u {
-				v = w
-				break
-			}
-		}
-	}
-	u--
-	if v == 0 {
-		t.Fatal("generated graph has no reachable pair")
-	}
-	if err := idx.InsertArc(v, u); err != index.ErrStale {
-		t.Fatalf("closing insert returned %v, want ErrStale", err)
-	}
-	var rr api.ReachResponse
-	if code := getJSON(t, fmt.Sprintf("%s/v1/reach?src=%d&dst=%d", url, u, v), &rr); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if rr.IndexHit {
-		t.Fatal("stale index still answered the request")
-	}
-	if !rr.Reachable {
-		t.Fatalf("engine fallback lost reachability %d->%d", u, v)
-	}
-	if s.Metrics().IndexHits.Load() != 0 {
-		t.Fatal("stale index counted an index hit")
-	}
-}

@@ -42,6 +42,8 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,10 +79,10 @@ type Options struct {
 	// unset (buffer pages, policies).
 	DefaultConfig core.Config
 	// Index, when set, answers GET /v1/reach from the prebuilt
-	// reachability index with zero page I/O and no engine work. The engine
-	// path remains the fallback when the index is absent or stale. It must
-	// cover the same node space as the database. Single-graph servers
-	// only; NewMulti takes per-graph indexes via NamedGraph.Index.
+	// reachability index with zero page I/O and no engine work; without one
+	// the engine answers. It must cover the same node space as the
+	// database. Single-graph servers only; NewMulti takes per-graph indexes
+	// via NamedGraph.Index.
 	Index *index.Index
 	// Dynamic, when set, turns the server into a read/write graph service:
 	// POST /v1/arc accepts mutation batches and GET /v1/reach is answered
@@ -168,41 +170,30 @@ type tenant struct {
 	adapt *planner.Adaptive
 	tm    tenantCounters
 
-	planOnce sync.Once
-	profile  planner.Profile
-	planErr  error
-
-	fpOnce sync.Once
-	fp     uint64
-	fpErr  error
+	// profile builds the tenant's planner profile on first use (one DFS
+	// plus sampled reachability probes) and reuses it for the server's
+	// lifetime — the engine-visible graph is immutable.
+	profile func() (planner.Profile, error)
 }
 
-// ensureProfile builds the tenant's planner profile on first use (one DFS
-// plus sampled reachability probes) and reuses it for the server's
-// lifetime — the engine-visible graph is immutable.
-func (tn *tenant) ensureProfile() (planner.Profile, error) {
-	tn.planOnce.Do(func() {
-		arcs, err := tn.db.Arcs()
-		if err != nil {
-			tn.planErr = err
-			return
-		}
-		tn.profile, tn.planErr = planner.BuildProfile(graph.New(tn.db.N(), arcs), 16, 1)
-	})
-	return tn.profile, tn.planErr
-}
-
-// fingerprint is the tenant's dataset identity (CRC-64 of the base
-// relation, superseded by the dynamic service's live fingerprint).
-func (tn *tenant) fingerprint() (uint64, error) {
-	tn.fpOnce.Do(func() { tn.fp, tn.fpErr = tn.db.Fingerprint() })
-	if tn.fpErr != nil {
-		return 0, tn.fpErr
-	}
+// nodes is the node count reach probes are range-checked against: the
+// probe's own, which is the dynamic service's when one serves the tenant.
+func (tn *tenant) nodes() int {
 	if tn.dyn != nil {
-		return tn.dyn.Stats().Fingerprint, nil
+		return tn.dyn.N()
 	}
-	return tn.fp, nil
+	return tn.db.N()
+}
+
+// fingerprint is the tenant's dataset identity: the CRC-64 of the base
+// relation (computed once, by the database), superseded by the dynamic
+// service's live fingerprint.
+func (tn *tenant) fingerprint() (uint64, error) {
+	fp, err := tn.db.Fingerprint()
+	if err == nil && tn.dyn != nil {
+		fp = tn.dyn.Stats().Fingerprint
+	}
+	return fp, err
 }
 
 // Server serves reachability queries over one or more loaded databases.
@@ -210,7 +201,7 @@ type Server struct {
 	opts   Options
 	disp   *dispatcher
 	met    *Metrics
-	traces *traceRing
+	traces *ring[TraceEntry]
 	mux    *http.ServeMux
 
 	tenants map[string]*tenant
@@ -243,7 +234,7 @@ func NewMulti(graphs []NamedGraph, opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:    opts,
-		traces:  newTraceRing(opts.TraceBuffer),
+		traces:  newRing[TraceEntry](opts.TraceBuffer),
 		mux:     http.NewServeMux(),
 		tenants: make(map[string]*tenant, len(graphs)),
 	}
@@ -264,6 +255,13 @@ func NewMulti(graphs []NamedGraph, opts Options) (*Server, error) {
 			cache: newResultCache(opts.CacheEntries),
 			idx:   g.Index,
 		}
+		tn.profile = sync.OnceValues(func() (planner.Profile, error) {
+			arcs, err := tn.db.Arcs()
+			if err != nil {
+				return planner.Profile{}, err
+			}
+			return planner.BuildProfile(graph.New(tn.db.N(), arcs), 16, 1)
+		})
 		if tn.idx != nil && tn.idx.N() != g.DB.N() {
 			return nil, fmt.Errorf("server: graph %q: index covers %d nodes but the database has %d",
 				name, tn.idx.N(), g.DB.N())
@@ -294,8 +292,7 @@ func NewMulti(graphs []NamedGraph, opts Options) (*Server, error) {
 			s.traces.add(TraceEntry{
 				Time:      time.Now(),
 				Endpoint:  "rebuild",
-				ElapsedMS: float64(took) / float64(time.Millisecond),
-				Sources:   nil,
+				ElapsedMS: millis(took),
 				Algorithm: fmt.Sprintf("generation %d (+%d replayed)", gen, replayed),
 			})
 		})
@@ -353,12 +350,9 @@ const retryAfterMS = 50
 // failures are 400s; a transient storage fault — a failed page read or
 // write under the engine, which the next attempt may well not hit — is a
 // 503 with retry hints, never a 500: the request was well-formed and the
-// database is intact.
-func (s *Server) fail(w http.ResponseWriter, err error) { s.failTenant(w, nil, err) }
-
-// failTenant is fail with per-tenant attribution: admission rejections
-// are additionally charged to the rejected tenant's counters.
-func (s *Server) failTenant(w http.ResponseWriter, tn *tenant, err error) {
+// database is intact. An admission rejection is additionally charged to
+// the rejected tenant's counters when tn is known.
+func (s *Server) fail(w http.ResponseWriter, tn *tenant, err error) {
 	status, msg := http.StatusInternalServerError, err.Error()
 	transient := false
 	var he *httpError
@@ -372,7 +366,7 @@ func (s *Server) failTenant(w http.ResponseWriter, tn *tenant, err error) {
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
-	case isDeadline(err):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusGatewayTimeout
 	case pagedisk.IsTransient(err):
 		status = http.StatusServiceUnavailable
@@ -404,10 +398,6 @@ func (s *Server) failTenant(w http.ResponseWriter, tn *tenant, err error) {
 		return
 	}
 	api.WriteJSON(w, status, api.Error{Message: msg})
-}
-
-func isDeadline(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // maxRequestParallelism caps the intra-query worker count any single
@@ -467,31 +457,29 @@ func cacheKey(req core.Request) string {
 // engine's span hooks stay nil.
 func (s *Server) tracing() bool { return s.traces.enabled() || s.opts.SlowQuery > 0 }
 
-// finishTrace closes a request's root span, records the entry in the trace
-// ring, and emits the slow-query log line when over threshold. A nil
-// tracer (tracing disabled) is a no-op.
-func (s *Server) finishTrace(tr *obsv.Tracer, root *obsv.Span, e TraceEntry, elapsed time.Duration) {
-	if tr == nil {
-		return
+// execute runs one validated request for the accepted tenant, under the
+// effective deadline (the request's, else the server default), through its
+// cache, single-flight and admission, attributing served work to the
+// metrics and feeding the executed result into the tenant's adaptive
+// planner — the observation loop that turns measured phase times and page
+// I/O into future plan rankings. On a traced call the engine's phase spans
+// hang under the root span and the entry records what ran, how it was
+// served and the command that replays it.
+func (c *call) execute(r *http.Request, timeoutMS int, req core.Request) (res *core.Result, hit, shared bool, err error) {
+	s, tn := c.s, c.tn
+	timeout := s.opts.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
-	root.Finish()
-	e.Time = time.Now()
-	e.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	e.Spans = tr.Records()
-	if s.opts.SlowQuery > 0 && elapsed >= s.opts.SlowQuery {
-		e.Slow = true
-		s.met.SlowQueries.Add(1)
-		s.opts.SlowLogf("%s", slowLogLine(e, s.opts.SlowQuery))
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	if c.root != nil {
+		req.Cfg.Trace = c.root
+		c.entry.Algorithm = string(req.Alg)
+		c.entry.Graph = s.responseGraph(tn)
+		c.entry.Sources = req.Query.Sources
+		c.entry.Replay = replayCommand(s.opts.ReplayArgs, req)
 	}
-	s.traces.add(e)
-}
-
-// execute runs one validated request through the tenant's cache,
-// single-flight and admission, attributing served work to the metrics and
-// feeding the executed result into the tenant's adaptive planner — the
-// observation loop that turns measured phase times and page I/O into
-// future plan rankings.
-func (s *Server) execute(ctx context.Context, tn *tenant, req core.Request) (res *core.Result, hit, shared bool, err error) {
 	res, hit, shared, err = tn.cache.Do(ctx, cacheKey(req), func() (*core.Result, error) {
 		r, err := s.disp.SubmitTenant(ctx, tn.name, tn.db, req)
 		if err != nil {
@@ -503,7 +491,7 @@ func (s *Server) execute(ctx context.Context, tn *tenant, req core.Request) (res
 		s.met.TuplesServed.Add(r.Metrics.DistinctTuples)
 		s.met.ObserveEngine(string(req.Alg), r.Metrics)
 		if tn.adapt != nil {
-			if prof, perr := tn.ensureProfile(); perr == nil {
+			if prof, perr := tn.profile(); perr == nil {
 				tn.adapt.Observe(prof, len(req.Query.Sources), req.Cfg.BufferPages, req.Alg,
 					r.Metrics.RestructureTime+r.Metrics.ComputeTime, io)
 			}
@@ -511,6 +499,7 @@ func (s *Server) execute(ctx context.Context, tn *tenant, req core.Request) (res
 		return r, nil
 	})
 	if err == nil {
+		c.entry.Cached, c.entry.Deduplicated = hit, shared
 		switch {
 		case hit:
 			s.met.CacheHits.Add(1)
@@ -525,83 +514,52 @@ func (s *Server) execute(ctx context.Context, tn *tenant, req core.Request) (res
 	return res, hit, shared, err
 }
 
-// requestContext applies the effective deadline.
-func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	t := s.opts.DefaultTimeout
-	if timeoutMS > 0 {
-		t = time.Duration(timeoutMS) * time.Millisecond
-	}
-	return context.WithTimeout(r.Context(), t)
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
+	c := s.begin(w)
+	defer c.end()
 	var qr api.QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
-		s.fail(w, badRequest("bad request body: %v", err))
+		c.fail(badRequest("bad request body: %v", err))
 		return
 	}
 	tn, err := s.tenantFor(r, qr.Graph)
 	if err != nil {
-		s.fail(w, err)
+		c.fail(err)
 		return
 	}
 	req, err := s.buildRequest(tn, qr)
 	if err != nil {
-		s.fail(w, err)
+		c.fail(err)
 		return
 	}
-	var tr *obsv.Tracer
-	var root *obsv.Span
-	var entry TraceEntry
-	if s.tracing() {
-		tr = obsv.NewTracer()
-		root = tr.Start("query", obsv.KV("algorithm", string(req.Alg)),
-			obsv.KV("sources", len(req.Query.Sources)))
-		req.Cfg.Trace = root
-		entry = TraceEntry{
-			Endpoint:  "query",
-			Algorithm: string(req.Alg),
-			Graph:     s.responseGraph(tn),
-			Sources:   req.Query.Sources,
-			Replay:    replayCommand(s.opts.ReplayArgs, req),
-		}
+	if c.accept("query", tn) {
+		c.root.Annotate(obsv.KV("algorithm", string(req.Alg)), obsv.KV("sources", len(req.Query.Sources)))
 	}
-	ctx, cancel := s.requestContext(r, qr.TimeoutMS)
-	defer cancel()
-	res, hit, shared, err := s.execute(ctx, tn, req)
+	res, hit, shared, err := c.execute(r, qr.TimeoutMS, req)
 	if err != nil {
-		entry.Error = err.Error()
-		s.finishTrace(tr, root, entry, time.Since(start))
-		s.failTenant(w, tn, err)
+		c.fail(err)
 		return
 	}
-	s.met.Queries.Add(1)
-	tn.tm.Queries.Add(1)
-	elapsed := time.Since(start)
-	s.met.ObserveLatency(elapsed)
-	entry.Cached, entry.Deduplicated = hit, shared
-	root.Annotate(obsv.KV("cached", hit), obsv.KV("deduplicated", shared))
-	s.finishTrace(tr, root, entry, elapsed)
-	resp := api.QueryResponse{
-		Algorithm:       string(req.Alg),
-		Graph:           s.responseGraph(tn),
-		Sources:         req.Query.Sources,
-		Cached:          hit,
-		Deduplicated:    shared,
-		ElapsedMS:       float64(elapsed) / float64(time.Millisecond),
-		Metrics:         api.RecordOf(res.Metrics),
-		SuccessorCounts: make(map[int32]int, len(res.Successors)),
-	}
-	for node, succ := range res.Successors {
-		resp.SuccessorCounts[node] = len(succ)
-	}
-	if qr.IncludeSuccessors {
-		resp.Successors = res.Successors
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	c.root.Annotate(obsv.KV("cached", hit), obsv.KV("deduplicated", shared))
+	c.ok(s.met.Queries, tn.tm.Queries, func(elapsedMS float64) any {
+		resp := api.QueryResponse{
+			Algorithm:       string(req.Alg),
+			Graph:           s.responseGraph(tn),
+			Sources:         req.Query.Sources,
+			Cached:          hit,
+			Deduplicated:    shared,
+			ElapsedMS:       elapsedMS,
+			Metrics:         api.RecordOf(res.Metrics),
+			SuccessorCounts: make(map[int32]int, len(res.Successors)),
+		}
+		for node, succ := range res.Successors {
+			resp.SuccessorCounts[node] = len(succ)
+		}
+		if qr.IncludeSuccessors {
+			resp.Successors = res.Successors
+		}
+		return resp
+	})
 }
 
 // responseGraph names the tenant in responses of multi-graph servers;
@@ -613,145 +571,94 @@ func (s *Server) responseGraph(tn *tenant) string {
 	return tn.name
 }
 
-// handleReach answers src->dst reachability. With a loaded reachability
-// index (and while it is not stale) the answer is an O(1)/O(log k) label
-// probe with zero page I/O and no engine involvement. Otherwise it expands
-// src's successor set with SRCH — the engine's per-source fast path — and
-// caches it, so a warm source answers any destination with zero page I/O.
-// A node reaches itself only through a cycle, matching closure semantics.
+// handleReach answers src->dst reachability from the tenant's one probe
+// (answerReach). A node reaches itself only through a cycle, matching
+// closure semantics.
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	src, err1 := parseNode(r.URL.Query().Get("src"))
-	dst, err2 := parseNode(r.URL.Query().Get("dst"))
+	c := s.begin(w)
+	defer c.end()
+	q := r.URL.Query()
+	src, err1 := parseNode(q.Get("src"))
+	dst, err2 := parseNode(q.Get("dst"))
 	if err1 != nil || err2 != nil {
-		s.fail(w, badRequest("reach needs integer src and dst parameters"))
+		c.fail(badRequest("reach needs integer src and dst parameters"))
 		return
 	}
 	tn, err := s.tenantFor(r, "")
 	if err != nil {
-		s.fail(w, err)
+		c.fail(err)
 		return
 	}
-	var tr *obsv.Tracer
-	var root *obsv.Span
-	if s.tracing() {
-		tr = obsv.NewTracer()
-		root = tr.Start("reach", obsv.KV("src", src), obsv.KV("dst", dst))
+	if tn.dyn == nil && tn.idx == nil {
+		s.met.EngineFallbacks.Add(1)
 	}
-	if tn.dyn != nil {
-		if err := checkReach(src, dst, tn.dyn.N()); err != nil {
-			s.fail(w, err)
-			return
-		}
-		observed := int64(atoiDefault(r.URL.Query().Get("seq"), 0))
-		probe := root.Child("dynamic-probe")
-		reachable, hit, seq, err := tn.dyn.Reach(src, dst, observed)
+	if err := checkReach(src, dst, tn.nodes()); err != nil {
+		c.fail(err)
+		return
+	}
+	if c.accept("reach", tn) {
+		c.root.Annotate(obsv.KV("src", src), obsv.KV("dst", dst))
+		c.entry.Sources = []int32{src}
+	}
+	resp := api.ReachResponse{Src: src, Dst: dst, Graph: s.responseGraph(tn)}
+	if err := c.answerReach(r, q, &resp); err != nil {
+		c.fail(err)
+		return
+	}
+	c.entry.IndexHit = resp.IndexHit
+	c.ok(s.met.Reaches, tn.tm.Reaches, func(elapsedMS float64) any {
+		resp.ElapsedMS = elapsedMS
+		return resp
+	})
+}
+
+// answerReach asks the accepted tenant's one reach probe whether resp.Src
+// reaches resp.Dst and records in resp what it found and where. The dynamic
+// service answers from its sealed index generation or, while a rebuild is
+// in flight, from the delta overlay; otherwise a loaded index answers —
+// either way an O(1)/O(log k) label probe with zero page I/O and no engine
+// involvement. A tenant with neither expands the source's successor set
+// with SRCH — the engine's per-source fast path — and caches it, so a warm
+// source answers any destination with zero page I/O.
+func (c *call) answerReach(r *http.Request, q url.Values, resp *api.ReachResponse) (err error) {
+	s, tn, src, dst := c.s, c.tn, resp.Src, resp.Dst
+	switch {
+	case tn.dyn != nil:
+		probe := c.root.Child("dynamic-probe")
+		defer probe.Finish()
+		resp.Reachable, resp.IndexHit, resp.Seq, err = tn.dyn.Reach(src, dst, int64(atoiDefault(q.Get("seq"), 0)))
 		if err != nil {
-			probe.Finish()
-			s.finishTrace(tr, root, TraceEntry{
-				Endpoint: "reach", Sources: []int32{src}, Error: err.Error(),
-			}, time.Since(start))
-			s.fail(w, err)
-			return
+			return err
 		}
-		probe.Annotate(obsv.KV("reachable", reachable), obsv.KV("index_hit", hit))
-		probe.Finish()
-		if hit {
+		probe.Annotate(obsv.KV("reachable", resp.Reachable), obsv.KV("index_hit", resp.IndexHit))
+		resp.Overlay = !resp.IndexHit
+		if resp.IndexHit {
 			s.met.IndexHits.Add(1)
 		} else {
 			s.met.OverlayReads.Add(1)
 		}
-		s.met.Reaches.Add(1)
-		tn.tm.Reaches.Add(1)
-		elapsed := time.Since(start)
-		s.met.ObserveLatency(elapsed)
-		s.finishTrace(tr, root, TraceEntry{
-			Endpoint: "reach", Sources: []int32{src}, IndexHit: hit,
-		}, elapsed)
-		api.WriteJSON(w, http.StatusOK, api.ReachResponse{
-			Src: src, Dst: dst, Reachable: reachable, IndexHit: hit,
-			Overlay: !hit, Seq: seq,
-			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		})
-		return
-	}
-	if tn.idx != nil && !tn.idx.Stale() {
-		if err := checkReach(src, dst, tn.db.N()); err != nil {
-			s.fail(w, err)
-			return
-		}
-		probe := root.Child("index-probe")
-		reachable := tn.idx.Reach(src, dst)
-		probe.Annotate(obsv.KV("reachable", reachable))
+	case tn.idx != nil:
+		probe := c.root.Child("index-probe")
+		resp.Reachable, resp.IndexHit = tn.idx.Reach(src, dst), true
+		probe.Annotate(obsv.KV("reachable", resp.Reachable))
 		probe.Finish()
 		s.met.IndexHits.Add(1)
-		s.met.Reaches.Add(1)
-		tn.tm.Reaches.Add(1)
-		elapsed := time.Since(start)
-		s.met.ObserveLatency(elapsed)
-		s.finishTrace(tr, root, TraceEntry{
-			Endpoint: "reach", Sources: []int32{src}, IndexHit: true,
-		}, elapsed)
-		api.WriteJSON(w, http.StatusOK, api.ReachResponse{
-			Src: src, Dst: dst, Graph: s.responseGraph(tn), Reachable: reachable, IndexHit: true,
-			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		})
-		return
-	}
-	s.met.EngineFallbacks.Add(1)
-	if err := checkReach(src, dst, tn.db.N()); err != nil {
-		s.fail(w, err)
-		return
-	}
-	req, err := s.buildRequest(tn, api.QueryRequest{Algorithm: string(core.SRCH), Sources: []int32{src}})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	var entry TraceEntry
-	if tr != nil {
-		req.Cfg.Trace = root
-		entry = TraceEntry{
-			Endpoint:  "reach",
-			Algorithm: string(core.SRCH),
-			Graph:     s.responseGraph(tn),
-			Sources:   []int32{src},
-			Replay:    replayCommand(s.opts.ReplayArgs, req),
+	default:
+		req, err := s.buildRequest(tn, api.QueryRequest{Algorithm: string(core.SRCH), Sources: []int32{src}})
+		if err != nil {
+			return err
 		}
-	}
-	ctx, cancel := s.requestContext(r, atoiDefault(r.URL.Query().Get("timeout_ms"), 0))
-	defer cancel()
-	res, hit, shared, err := s.execute(ctx, tn, req)
-	if err != nil {
-		entry.Error = err.Error()
-		s.finishTrace(tr, root, entry, time.Since(start))
-		s.failTenant(w, tn, err)
-		return
-	}
-	s.met.Reaches.Add(1)
-	tn.tm.Reaches.Add(1)
-	elapsed := time.Since(start)
-	s.met.ObserveLatency(elapsed)
-	reachable := false
-	for _, v := range res.Successors[src] {
-		if v == dst {
-			reachable = true
-			break
+		res, hit, _, err := c.execute(r, atoiDefault(q.Get("timeout_ms"), 0), req)
+		if err != nil {
+			return err
 		}
+		resp.Reachable, resp.Cached = slices.Contains(res.Successors[src], dst), hit
+		if !hit {
+			resp.PageIO = res.Metrics.TotalIO()
+		}
+		c.root.Annotate(obsv.KV("reachable", resp.Reachable), obsv.KV("cached", hit))
 	}
-	var io int64
-	if !hit {
-		io = res.Metrics.TotalIO()
-	}
-	entry.Cached, entry.Deduplicated = hit, shared
-	root.Annotate(obsv.KV("reachable", reachable), obsv.KV("cached", hit))
-	s.finishTrace(tr, root, entry, elapsed)
-	api.WriteJSON(w, http.StatusOK, api.ReachResponse{
-		Src: src, Dst: dst, Graph: s.responseGraph(tn), Reachable: reachable, Cached: hit,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond), PageIO: io,
-	})
+	return nil
 }
 
 // handleArc applies one mutation batch — inserts and deletes of arcs —
@@ -759,50 +666,45 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 // any op applies, takes one sequence number, and the response carries the
 // post-batch fingerprint so a router can verify replica convergence.
 func (s *Server) handleArc(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
+	c := s.begin(w)
+	defer c.end()
 	dyn := s.def.dyn
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxArcBody))
 	if err != nil {
-		s.fail(w, badRequest("read mutation batch: %v", err))
+		c.fail(badRequest("read mutation batch: %v", err))
 		return
 	}
 	batch, err := dynamic.ParseBatch(body, dyn.N(), dyn.MaxBatchOps())
 	if err != nil {
-		s.fail(w, badRequest("%v", err))
+		c.fail(badRequest("%v", err))
 		return
 	}
-	var tr *obsv.Tracer
-	var root *obsv.Span
-	if s.tracing() {
-		tr = obsv.NewTracer()
-		root = tr.Start("arc", obsv.KV("ops", len(batch.Ops)))
+	// No tenant: mutations have no tenant series, and a backlog 429 is the
+	// service's, not admission control's, so it is charged to no tenant.
+	if c.accept("arc", nil) {
+		c.root.Annotate(obsv.KV("ops", len(batch.Ops)))
 	}
-	apply := root.Child("apply")
+	apply := c.root.Child("apply")
 	res, err := dyn.Apply(batch.Ops)
 	apply.Finish()
 	if err != nil {
-		s.finishTrace(tr, root, TraceEntry{Endpoint: "arc", Error: err.Error()}, time.Since(start))
-		s.fail(w, err)
+		c.fail(err)
 		return
 	}
-	s.met.ArcWrites.Add(1)
 	s.met.MutationsApplied.Add(int64(res.Applied))
-	elapsed := time.Since(start)
-	s.met.ObserveLatency(elapsed)
-	root.Annotate(obsv.KV("seq", res.Seq), obsv.KV("applied", res.Applied))
-	s.finishTrace(tr, root, TraceEntry{Endpoint: "arc"}, elapsed)
-	api.WriteJSON(w, http.StatusOK, api.ArcResponse{
-		Seq:         res.Seq,
-		Applied:     res.Applied,
-		Noops:       res.Noops,
-		Merged:      res.Merged,
-		Rebuilding:  res.Dirty,
-		Generation:  res.Generation,
-		Pending:     res.Pending,
-		Fingerprint: fmt.Sprintf("%016x", res.Fingerprint),
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
+	c.root.Annotate(obsv.KV("seq", res.Seq), obsv.KV("applied", res.Applied))
+	c.ok(s.met.ArcWrites, nil, func(elapsedMS float64) any {
+		return api.ArcResponse{
+			Seq:         res.Seq,
+			Applied:     res.Applied,
+			Noops:       res.Noops,
+			Merged:      res.Merged,
+			Rebuilding:  res.Dirty,
+			Generation:  res.Generation,
+			Pending:     res.Pending,
+			Fingerprint: fmt.Sprintf("%016x", res.Fingerprint),
+			ElapsedMS:   elapsedMS,
+		}
 	})
 }
 
@@ -816,12 +718,12 @@ func (s *Server) handleArc(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	tn, err := s.tenantFor(r, "")
 	if err != nil {
-		s.fail(w, err)
+		s.fail(w, nil, err)
 		return
 	}
-	profile, err := tn.ensureProfile()
+	profile, err := tn.profile()
 	if err != nil {
-		s.fail(w, fmt.Errorf("planner profile: %w", err))
+		s.fail(w, nil, fmt.Errorf("planner profile: %w", err))
 		return
 	}
 	numSources := atoiDefault(r.URL.Query().Get("sources"), 1)
@@ -857,7 +759,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 				BlendedIO:         d.Blended,
 				Samples:           d.Samples,
 				ObservedIO:        d.ObsIO,
-				ObservedLatencyMS: float64(d.ObsLatency) / float64(time.Millisecond),
+				ObservedLatencyMS: millis(d.ObsLatency),
 				Explored:          d.Explored,
 			})
 		}
@@ -875,8 +777,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// indexHealth describes the index serving reads; stale and generation come
-// from whoever owns its lifecycle (the dynamic service, or the index).
+// indexHealth describes the index serving reads. Only the dynamic service
+// ever bypasses its sealed index (stale: a rebuild is in flight); the
+// generation comes from whoever owns the index's lifecycle.
 func indexHealth(idx *index.Index, stale bool, generation int64) *api.IndexHealth {
 	return &api.IndexHealth{
 		Arcs: idx.NumArcs(), Builder: idx.Builder(), Chains: idx.Chains(),
@@ -894,15 +797,14 @@ func (tn *tenant) healthBlock() (api.GraphHealth, error) {
 	b := api.GraphHealth{Arcs: tn.db.NumArcs(), Fingerprint: fmt.Sprintf("%016x", fp), Nodes: tn.db.N()}
 	if tn.dyn != nil {
 		st := tn.dyn.Stats()
-		cur := tn.dyn.Index()
 		b.Arcs = st.NumArcs
-		b.Index = indexHealth(cur, st.Dirty || cur.Stale(), st.Generation)
+		b.Index = indexHealth(tn.dyn.Index(), st.Dirty, st.Generation)
 		b.Dynamic = &api.DynamicHealth{
 			Generation: st.Generation, Mutations: st.Mutations, Pending: st.Pending,
 			Rebuilding: st.Dirty, Rebuilds: st.Rebuilds, Seq: st.Seq,
 		}
 	} else if tn.idx != nil {
-		b.Index = indexHealth(tn.idx, tn.idx.Stale(), int64(tn.idx.Generation()))
+		b.Index = indexHealth(tn.idx, false, int64(tn.idx.Generation()))
 	}
 	return b, nil
 }
@@ -963,10 +865,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // than an empty list, so a probe can tell "no traffic" from "not
 // recording".
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	traces, _ := s.traces.snapshot()
 	api.WriteJSON(w, http.StatusOK, struct {
 		Enabled bool         `json:"enabled"`
 		Traces  []TraceEntry `json:"traces"`
-	}{s.traces.enabled(), s.traces.snapshot()})
+	}{s.traces.enabled(), traces})
 }
 
 // checkReach range-checks a reach probe's endpoints against an n-node graph.

@@ -34,49 +34,45 @@ type TraceEntry struct {
 	Spans        []obsv.Record `json:"spans,omitempty"`
 }
 
-// traceRing keeps the most recent traced requests. Zero capacity disables
+// ring keeps the most recent values added to it and counts every add. The
+// trace ring and the latency window are both one. Zero capacity disables
 // recording entirely; add and snapshot are then free.
-type traceRing struct {
-	mu   sync.Mutex
-	buf  []TraceEntry
-	next int
-	n    int
+type ring[T any] struct {
+	mu    sync.Mutex
+	buf   []T
+	next  int
+	total int64
 }
 
-func newTraceRing(capacity int) *traceRing {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &traceRing{buf: make([]TraceEntry, capacity)}
-}
+func newRing[T any](capacity int) *ring[T] { return &ring[T]{buf: make([]T, max(capacity, 0))} }
 
-func (r *traceRing) enabled() bool { return r != nil && len(r.buf) > 0 }
+func (r *ring[T]) enabled() bool { return r != nil && len(r.buf) > 0 }
 
-func (r *traceRing) add(e TraceEntry) {
+func (r *ring[T]) add(v T) {
 	if !r.enabled() {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = e
+	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	r.total++
 	r.mu.Unlock()
 }
 
-// snapshot returns the recorded entries, newest first.
-func (r *traceRing) snapshot() []TraceEntry {
+// snapshot returns the retained values, newest first, and how many were
+// ever added.
+func (r *ring[T]) snapshot() ([]T, int64) {
 	if !r.enabled() {
-		return nil
+		return nil, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TraceEntry, 0, r.n)
-	for i := 1; i <= r.n; i++ {
+	n := int(min(r.total, int64(len(r.buf))))
+	out := make([]T, 0, n)
+	for i := 1; i <= n; i++ {
 		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
-	return out
+	return out, r.total
 }
 
 // replayCommand builds a tcquery invocation reproducing one request's
