@@ -93,7 +93,7 @@ func newMetrics(s *Server) *Metrics {
 	m.OverlayReads = r.Counter("tc_overlay_reads_total",
 		"Reach requests answered by the delta overlay while a rebuild was in flight.").Int()
 	m.EngineFallbacks = r.Counter("tc_reach_engine_fallback_total",
-		"Reach requests forced through the engine because the index was absent or stale.").Int()
+		"Valid reach requests answered by the engine because the tenant has no index.").Int()
 	m.Deduplicated = r.Counter("tc_deduplicated_total", "Queries coalesced onto an identical in-flight query.").Int()
 	m.Rejected = r.Counter("tc_rejected_total", "Requests rejected with 429 by admission control.").Int()
 	m.Timeouts = r.Counter("tc_timeouts_total", "Requests that exceeded their deadline (504).").Int()
@@ -123,7 +123,7 @@ func newMetrics(s *Server) *Metrics {
 		generation = func() int64 { return int64(idx.Generation()) }
 	}
 	if generation != nil {
-		r.Gauge("tc_index_stale", "1 while reads bypass the sealed index (stale static index or rebuild in flight).").
+		r.Gauge("tc_index_stale", "1 while a rebuild is in flight and reads bypass the sealed index for the overlay.").
 			Func(func() float64 {
 				if stale() {
 					return 1

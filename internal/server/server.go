@@ -589,9 +589,6 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		c.fail(err)
 		return
 	}
-	if tn.dyn == nil && tn.idx == nil {
-		s.met.EngineFallbacks.Add(1)
-	}
 	if err := checkReach(src, dst, tn.nodes()); err != nil {
 		c.fail(err)
 		return
@@ -644,6 +641,7 @@ func (c *call) answerReach(r *http.Request, q url.Values, resp *api.ReachRespons
 		probe.Finish()
 		s.met.IndexHits.Add(1)
 	default:
+		s.met.EngineFallbacks.Add(1)
 		req, err := s.buildRequest(tn, api.QueryRequest{Algorithm: string(core.SRCH), Sources: []int32{src}})
 		if err != nil {
 			return err
