@@ -35,7 +35,8 @@ func (c *call) end() { c.s.met.InFlight.Add(-1) }
 
 // accept marks the request validated. A failure before it is the client's
 // and leaves no trace; from here on the request is the server's to explain,
-// so when tracing is on it gets a root span and a trace entry. It reports
+// so when tracing is on it gets a root span and a trace entry naming the
+// endpoint and (on a multi-graph server) the tenant. It reports
 // whether the request is traced: the handler builds span attributes and
 // entry fields only then.
 func (c *call) accept(endpoint string, tn *tenant) bool {
@@ -43,6 +44,9 @@ func (c *call) accept(endpoint string, tn *tenant) bool {
 	if c.s.tracing() {
 		c.root = obsv.NewTracer().Start(endpoint)
 		c.entry.Endpoint = endpoint
+		if tn != nil {
+			c.entry.Graph = c.s.responseGraph(tn)
+		}
 	}
 	return c.root != nil
 }

@@ -476,7 +476,6 @@ func (c *call) execute(r *http.Request, timeoutMS int, req core.Request) (res *c
 	if c.root != nil {
 		req.Cfg.Trace = c.root
 		c.entry.Algorithm = string(req.Alg)
-		c.entry.Graph = s.responseGraph(tn)
 		c.entry.Sources = req.Query.Sources
 		c.entry.Replay = replayCommand(s.opts.ReplayArgs, req)
 	}
