@@ -109,79 +109,80 @@ func main() {
 	flag.Parse()
 
 	// Either -graphs or the single-graph flags name the tenants; everything
-	// after is one start-up path.
+	// after is one start-up path. replayArgs reconstructs the default
+	// tenant's graph for slow-query log entries: tcquery <replayArgs>
+	// <request flags> -trace reruns the same engine work offline.
 	var (
 		graphs     []server.NamedGraph
-		dyn        *dynamic.Service
+		db         *core.Database
 		replayArgs string
 	)
-	if *graphsSpec != "" {
+	switch {
+	case *graphsSpec != "":
 		if *dbDir != "" || *indexFile != "" || *mutable {
 			fatal(errors.New("-graphs conflicts with the single-graph flags -db, -index and -mutable"))
 		}
 		graphs, replayArgs = openGraphs(*graphsSpec)
-	} else {
-		var db *core.Database
-		// The replay fragment reconstructs the served graph for slow-query
-		// log entries: tcquery <replayArgs> <request flags> -trace reruns the
-		// same engine work offline.
-		if *dbDir != "" {
-			var err error
-			if db, err = core.OpenDatabase(*dbDir); err != nil {
-				fatal(err)
-			}
-			log.Printf("opened database %s: n=%d |G|=%d", *dbDir, db.N(), db.NumArcs())
-			replayArgs = fmt.Sprintf("-db %s", *dbDir)
-		} else {
-			arcs, err := graphgen.Generate(graphgen.Params{Nodes: *n, OutDegree: *f, Locality: *l, Seed: *seed})
-			if err != nil {
-				fatal(err)
-			}
-			db = core.NewDatabase(*n, arcs)
-			log.Printf("generated database: n=%d F=%d l=%d seed=%d |G|=%d", *n, *f, *l, *seed, db.NumArcs())
-			replayArgs = fmt.Sprintf("-n %d -f %d -l %d -seed %d", *n, *f, *l, *seed)
+	case *dbDir != "":
+		var err error
+		if db, err = core.OpenDatabase(*dbDir); err != nil {
+			fatal(err)
 		}
+		log.Printf("opened database %s: n=%d |G|=%d", *dbDir, db.N(), db.NumArcs())
+		replayArgs = fmt.Sprintf("-db %s", *dbDir)
+	default:
+		arcs, err := graphgen.Generate(graphgen.Params{Nodes: *n, OutDegree: *f, Locality: *l, Seed: *seed})
+		if err != nil {
+			fatal(err)
+		}
+		db = core.NewDatabase(*n, arcs)
+		log.Printf("generated database: n=%d F=%d l=%d seed=%d |G|=%d", *n, *f, *l, *seed, db.NumArcs())
+		replayArgs = fmt.Sprintf("-n %d -f %d -l %d -seed %d", *n, *f, *l, *seed)
+	}
 
-		var idx *index.Index
-		if *indexFile != "" {
-			var err error
-			if idx, err = index.LoadFile(*indexFile); err != nil {
-				fatal(err)
-			}
-			if idx.N() != db.N() {
-				fatal(fmt.Errorf("index %s covers %d nodes but the database has %d", *indexFile, idx.N(), db.N()))
-			}
-			log.Printf("loaded index %s (%s decomposition, k=%d chains): /v1/reach served in O(1) with zero page I/O",
-				*indexFile, idx.Builder(), idx.Chains())
+	// -index and -mutable are single-graph flags (db is set).
+	var idx *index.Index
+	if *indexFile != "" {
+		var err error
+		if idx, err = index.LoadFile(*indexFile); err != nil {
+			fatal(err)
 		}
+		if idx.N() != db.N() {
+			fatal(fmt.Errorf("index %s covers %d nodes but the database has %d", *indexFile, idx.N(), db.N()))
+		}
+		log.Printf("loaded index %s (%s decomposition, k=%d chains): /v1/reach served in O(1) with zero page I/O",
+			*indexFile, idx.Builder(), idx.Chains())
+	}
 
-		if *mutable {
-			arcs, err := db.Arcs()
-			if err != nil {
-				fatal(err)
-			}
-			base := idx
-			if base == nil {
-				// No prebuilt index: seal generation zero ourselves.
-				if base, err = index.Build(graph.New(db.N(), arcs)); err != nil {
-					fatal(err)
-				}
-			}
-			fp, err := db.Fingerprint()
-			if err != nil {
-				fatal(err)
-			}
-			dyn, err = dynamic.New(db.N(), arcs, base, dynamic.Options{
-				BaseFingerprint: fp,
-				MaxBatchOps:     *maxBatch,
-				MaxPending:      *maxPending,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer dyn.Close()
-			log.Printf("mutable graph service: POST /v1/arc enabled (maxbatch=%d maxpending=%d)", *maxBatch, *maxPending)
+	var dyn *dynamic.Service
+	if *mutable {
+		arcs, err := db.Arcs()
+		if err != nil {
+			fatal(err)
 		}
+		base := idx
+		if base == nil {
+			// No prebuilt index: seal generation zero ourselves.
+			if base, err = index.Build(graph.New(db.N(), arcs)); err != nil {
+				fatal(err)
+			}
+		}
+		fp, err := db.Fingerprint()
+		if err != nil {
+			fatal(err)
+		}
+		dyn, err = dynamic.New(db.N(), arcs, base, dynamic.Options{
+			BaseFingerprint: fp,
+			MaxBatchOps:     *maxBatch,
+			MaxPending:      *maxPending,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		defer dyn.Close()
+		log.Printf("mutable graph service: POST /v1/arc enabled (maxbatch=%d maxpending=%d)", *maxBatch, *maxPending)
+	}
+	if db != nil {
 		graphs = []server.NamedGraph{{DB: db, Index: idx}}
 	}
 

@@ -353,8 +353,7 @@ const retryAfterMS = 50
 // database is intact. An admission rejection is additionally charged to
 // the rejected tenant's counters when tn is known.
 func (s *Server) fail(w http.ResponseWriter, tn *tenant, err error) {
-	status, msg := http.StatusInternalServerError, err.Error()
-	transient := false
+	status, msg, counter, transient := http.StatusInternalServerError, err.Error(), s.met.Errors, false
 	var he *httpError
 	var invalid *core.InvalidInputError
 	switch {
@@ -362,36 +361,21 @@ func (s *Server) fail(w http.ResponseWriter, tn *tenant, err error) {
 		status = he.status
 	case errors.As(err, &invalid):
 		status, msg = http.StatusBadRequest, invalid.Reason
-	case errors.Is(err, ErrSaturated):
-		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		status = http.StatusGatewayTimeout
-	case pagedisk.IsTransient(err):
-		status = http.StatusServiceUnavailable
-		transient = true
-	case errors.Is(err, dynamic.ErrBacklog):
-		status = http.StatusTooManyRequests
-	case errors.Is(err, dynamic.ErrFutureSeq):
-		// The replica simply has not applied the writes the client observed
-		// elsewhere yet; a retry lands after the log catches up.
-		status = http.StatusServiceUnavailable
-		transient = true
-	}
-	switch {
-	case status == http.StatusTooManyRequests:
-		s.met.Rejected.Add(1)
+	case errors.Is(err, ErrSaturated), errors.Is(err, dynamic.ErrBacklog):
+		status, counter = http.StatusTooManyRequests, s.met.Rejected
 		if tn != nil {
 			tn.tm.Rejected.Add(1)
 		}
-	case status == http.StatusGatewayTimeout:
-		s.met.Timeouts.Add(1)
-	case transient:
-		s.met.StorageFaults.Add(1)
-	default:
-		s.met.Errors.Add(1)
+	case errors.Is(err, ErrClosed):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		status, counter = http.StatusGatewayTimeout, s.met.Timeouts
+	case pagedisk.IsTransient(err), errors.Is(err, dynamic.ErrFutureSeq):
+		// ErrFutureSeq: the replica simply has not applied the writes the
+		// client observed elsewhere yet; a retry lands after the log catches up.
+		status, counter, transient = http.StatusServiceUnavailable, s.met.StorageFaults, true
 	}
+	counter.Add(1)
 	if transient {
 		w.Header().Set("Retry-After", "1")
 		api.WriteJSON(w, status, api.Error{Message: msg, Transient: true, Retry: true, RetryAfterMS: retryAfterMS})
@@ -458,20 +442,20 @@ func cacheKey(req core.Request) string {
 func (s *Server) tracing() bool { return s.traces.enabled() || s.opts.SlowQuery > 0 }
 
 // execute runs one validated request for the accepted tenant, under the
-// effective deadline (the request's, else the server default), through its
-// cache, single-flight and admission, attributing served work to the
-// metrics and feeding the executed result into the tenant's adaptive
+// effective deadline (timeoutMS when positive, else the server default),
+// through its cache, single-flight and admission, attributing served work
+// to the metrics and feeding the executed result into the tenant's adaptive
 // planner — the observation loop that turns measured phase times and page
 // I/O into future plan rankings. On a traced call the engine's phase spans
 // hang under the root span and the entry records what ran, how it was
 // served and the command that replays it.
-func (c *call) execute(r *http.Request, timeoutMS int, req core.Request) (res *core.Result, hit, shared bool, err error) {
+func (c *call) execute(ctx context.Context, timeoutMS int, req core.Request) (res *core.Result, hit, shared bool, err error) {
 	s, tn := c.s, c.tn
 	timeout := s.opts.DefaultTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	if c.root != nil {
 		req.Cfg.Trace = c.root
@@ -534,7 +518,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if c.accept("query", tn) {
 		c.root.Annotate(obsv.KV("algorithm", string(req.Alg)), obsv.KV("sources", len(req.Query.Sources)))
 	}
-	res, hit, shared, err := c.execute(r, qr.TimeoutMS, req)
+	res, hit, shared, err := c.execute(r.Context(), qr.TimeoutMS, req)
 	if err != nil {
 		c.fail(err)
 		return
@@ -597,7 +581,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		c.entry.Sources = []int32{src}
 	}
 	resp := api.ReachResponse{Src: src, Dst: dst, Graph: s.responseGraph(tn)}
-	if err := c.answerReach(r, q, &resp); err != nil {
+	if err := c.answerReach(r.Context(), q, &resp); err != nil {
 		c.fail(err)
 		return
 	}
@@ -616,7 +600,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 // involvement. A tenant with neither expands the source's successor set
 // with SRCH — the engine's per-source fast path — and caches it, so a warm
 // source answers any destination with zero page I/O.
-func (c *call) answerReach(r *http.Request, q url.Values, resp *api.ReachResponse) (err error) {
+func (c *call) answerReach(ctx context.Context, q url.Values, resp *api.ReachResponse) (err error) {
 	s, tn, src, dst := c.s, c.tn, resp.Src, resp.Dst
 	switch {
 	case tn.dyn != nil:
@@ -645,7 +629,7 @@ func (c *call) answerReach(r *http.Request, q url.Values, resp *api.ReachRespons
 		if err != nil {
 			return err
 		}
-		res, hit, _, err := c.execute(r, atoiDefault(q.Get("timeout_ms"), 0), req)
+		res, hit, _, err := c.execute(ctx, atoiDefault(q.Get("timeout_ms"), 0), req)
 		if err != nil {
 			return err
 		}

@@ -2,18 +2,23 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tcstudy/internal/api"
 	"tcstudy/internal/core"
+	"tcstudy/internal/dynamic"
 	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
+	"tcstudy/internal/pagedisk"
 )
 
 // newTestServer serves a generated DAG through httptest.
@@ -379,5 +384,66 @@ func TestServerCloseRefusesNewQueries(t *testing.T) {
 	resp, qr := postQuery(t, ts.URL, map[string]any{"algorithm": "srch", "sources": []int32{1}})
 	if resp.StatusCode != http.StatusOK || !qr.Cached {
 		t.Fatalf("cached read after close: status %d cached %t", resp.StatusCode, qr.Cached)
+	}
+}
+
+// TestFailStatusMapping pins the one place an error becomes a reply: its
+// status, the outcome counter it moves (exactly one), the tenant charge for
+// a rejection, and the retry hints a transient failure carries.
+func TestFailStatusMapping(t *testing.T) {
+	s, _, _ := newTestServer(t, 50, Options{})
+	m := s.Metrics()
+	for _, tc := range []struct {
+		name      string
+		err       error
+		status    int
+		counter   *atomic.Int64
+		transient bool
+	}{
+		{"client error", badRequest("no"), http.StatusBadRequest, m.Errors, false},
+		{"engine validation", &core.InvalidInputError{Reason: "no"}, http.StatusBadRequest, m.Errors, false},
+		{"queue full", ErrSaturated, http.StatusTooManyRequests, m.Rejected, false},
+		{"mutation backlog", dynamic.ErrBacklog, http.StatusTooManyRequests, m.Rejected, false},
+		{"draining", ErrClosed, http.StatusServiceUnavailable, m.Errors, false},
+		{"deadline", fmt.Errorf("queued: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, m.Timeouts, false},
+		{"client gone", context.Canceled, http.StatusGatewayTimeout, m.Timeouts, false},
+		{"storage fault", fmt.Errorf("read page: %w", pagedisk.ErrIOInjected), http.StatusServiceUnavailable, m.StorageFaults, true},
+		{"replica behind", dynamic.ErrFutureSeq, http.StatusServiceUnavailable, m.StorageFaults, true},
+		{"anything else", errors.New("boom"), http.StatusInternalServerError, m.Errors, false},
+	} {
+		all := []*atomic.Int64{m.Errors, m.Rejected, m.Timeouts, m.StorageFaults}
+		before := make([]int64, len(all))
+		for i, c := range all {
+			before[i] = c.Load()
+		}
+		tenantBefore := s.def.tm.Rejected.Load()
+		rec := httptest.NewRecorder()
+		s.fail(rec, s.def, tc.err)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.status)
+		}
+		for i, c := range all {
+			want := int64(0)
+			if c == tc.counter {
+				want = 1
+			}
+			if got := c.Load() - before[i]; got != want {
+				t.Errorf("%s: outcome counter %d moved by %d, want %d", tc.name, i, got, want)
+			}
+		}
+		wantTenant := int64(0)
+		if tc.status == http.StatusTooManyRequests {
+			wantTenant = 1
+		}
+		if got := s.def.tm.Rejected.Load() - tenantBefore; got != wantTenant {
+			t.Errorf("%s: tenant rejections moved by %d, want %d", tc.name, got, wantTenant)
+		}
+		var body api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if hinted := rec.Header().Get("Retry-After") != "" && body.Transient && body.Retry && body.RetryAfterMS > 0; hinted != tc.transient {
+			t.Errorf("%s: retry hints %t (Retry-After %q, body %+v), want %t", tc.name, hinted, rec.Header().Get("Retry-After"), body, tc.transient)
+		}
 	}
 }
