@@ -26,6 +26,7 @@ package chaos
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"tcstudy/internal/core"
@@ -54,12 +55,20 @@ type Case struct {
 	Sources     int // number of PTC source nodes; 0 = full closure
 	BufferPages int
 	ILIMIT      float64
+	// Cyclic adds back arcs (a tenth of the DAG's arc count) and a handful
+	// of self-arcs to the generated DAG, so the case carries multi-node
+	// components, self-loop singletons and plain acyclic stretches at once.
+	Cyclic bool
 }
 
 // String renders the case for replay messages.
 func (c Case) String() string {
-	return fmt.Sprintf("seed=%d n=%d f=%d l=%d s=%d m=%d ilimit=%g",
+	s := fmt.Sprintf("seed=%d n=%d f=%d l=%d s=%d m=%d ilimit=%g",
 		c.Seed, c.Nodes, c.OutDegree, c.Locality, c.Sources, c.BufferPages, c.ILIMIT)
+	if c.Cyclic {
+		s += " cyclic"
+	}
+	return s
 }
 
 // config is the engine configuration the case implies.
@@ -74,6 +83,17 @@ func (c Case) materialize() (*graph.Graph, *core.Database, []int32, error) {
 	})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("chaos: case {%s}: generate: %w", c, err)
+	}
+	if c.Cyclic {
+		rng := rand.New(rand.NewSource(c.Seed + 2))
+		for i := len(arcs) / 10; i > 0; i-- {
+			from := int32(rng.Intn(c.Nodes-1) + 2)
+			arcs = append(arcs, graph.Arc{From: from, To: int32(rng.Intn(int(from-1)) + 1)})
+		}
+		for i := 0; i < 4; i++ {
+			v := int32(rng.Intn(c.Nodes) + 1)
+			arcs = append(arcs, graph.Arc{From: v, To: v})
+		}
 	}
 	g := graph.New(c.Nodes, arcs)
 	var sources []int32
