@@ -13,12 +13,10 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"tcstudy/internal/graph"
@@ -75,7 +73,7 @@ func build(args []string) {
 		err   error
 	)
 	if *input != "" {
-		arcs, nodes, err = readArcs(*input)
+		arcs, nodes, err = graph.ReadArcFile(*input)
 	} else {
 		nodes = *n
 		arcs, err = graphgen.Generate(graphgen.Params{Nodes: *n, OutDegree: *f, Locality: *l, Seed: *seed})
@@ -146,40 +144,6 @@ func reach(args []string) {
 	ok := x.Reach(int32(src), int32(dst))
 	elapsed := time.Since(start)
 	fmt.Printf("%d -> %d: %t (%s)\n", src, dst, ok, elapsed)
-}
-
-// readArcs parses "src dst" lines (tcgen -dump format, # comments allowed).
-func readArcs(path string) ([]graph.Arc, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	var arcs []graph.Arc
-	maxNode := 0
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, 0, fmt.Errorf("%s:%d: want \"src dst\", got %q", path, line, sc.Text())
-		}
-		from, err1 := strconv.Atoi(fields[0])
-		to, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil || from < 1 || to < 1 {
-			return nil, 0, fmt.Errorf("%s:%d: bad arc %q", path, line, sc.Text())
-		}
-		if from > maxNode {
-			maxNode = from
-		}
-		if to > maxNode {
-			maxNode = to
-		}
-		arcs = append(arcs, graph.Arc{From: int32(from), To: int32(to)})
-	}
-	return arcs, maxNode, sc.Err()
 }
 
 func fatal(err error) {

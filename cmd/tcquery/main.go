@@ -35,7 +35,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -96,7 +95,7 @@ func main() {
 		nodes := *n
 		if *input != "" {
 			var err error
-			arcs, nodes, err = readArcs(*input)
+			arcs, nodes, err = graph.ReadArcFile(*input)
 			if err != nil {
 				fatal(err)
 			}
@@ -468,39 +467,6 @@ func describe(q core.Query) string {
 		return "full transitive closure"
 	}
 	return fmt.Sprintf("partial closure of %d source nodes %v", len(q.Sources), q.Sources)
-}
-
-func readArcs(path string) ([]graph.Arc, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	var arcs []graph.Arc
-	maxNode := 0
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, 0, fmt.Errorf("%s:%d: want \"src dst\", got %q", path, line, sc.Text())
-		}
-		from, err1 := strconv.Atoi(fields[0])
-		to, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil || from < 1 || to < 1 {
-			return nil, 0, fmt.Errorf("%s:%d: bad arc %q", path, line, sc.Text())
-		}
-		if from > maxNode {
-			maxNode = from
-		}
-		if to > maxNode {
-			maxNode = to
-		}
-		arcs = append(arcs, graph.Arc{From: int32(from), To: int32(to)})
-	}
-	return arcs, maxNode, sc.Err()
 }
 
 func fatal(err error) {

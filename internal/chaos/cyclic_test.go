@@ -1,11 +1,19 @@
 package chaos
 
 import (
-	"sort"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"tcstudy"
+	"tcstudy/internal/api"
 	"tcstudy/internal/core"
+	"tcstudy/internal/server"
 )
 
 // cyclicCases are the seeded cyclic digraphs of the harness: three shapes
@@ -23,8 +31,7 @@ func cyclicCases() []Case {
 func cyclicShapes(t *testing.T, c Case, oracle map[int32][]int32) [][]int32 {
 	t.Helper()
 	for v := int32(1); v <= int32(c.Nodes); v++ {
-		i := sort.Search(len(oracle[v]), func(i int) bool { return oracle[v][i] >= v })
-		if i < len(oracle[v]) && oracle[v][i] == v && len(oracle[v]) > 1 {
+		if slices.Contains(oracle[v], v) && len(oracle[v]) > 1 {
 			c.Sources = 8
 			_, _, eight, err := c.materialize()
 			if err != nil {
@@ -37,54 +44,140 @@ func cyclicShapes(t *testing.T, c Case, oracle map[int32][]int32) [][]int32 {
 	return nil
 }
 
-// TestCyclicCasesRecorded records what this commit does with cyclic input,
-// before the decision moves: core.Run answers every strategy with a nil
-// error, seven of them wrongly, and the façade's condensation route drops
-// self-loops.
-func TestCyclicCasesRecorded(t *testing.T) {
-	wrong := map[core.Algorithm]bool{}
-	selfLoopDropped := false
+// serve drives one request through the in-process tcserve handler.
+func serve(t *testing.T, s *server.Server, method, target string, body any, reply any) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if body != nil {
+		if err := json.NewEncoder(&buf).Encode(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(method, target, &buf))
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), reply); err != nil {
+			t.Fatalf("%s %s: %v", method, target, err)
+		}
+	}
+	return rec.Code
+}
+
+// TestCyclicInputEveryEntry is the cyclic half of the harness's claim: on a
+// graph with cycles, every strategy through every entry point either
+// returns the oracle's answer or refuses with the engine's typed error
+// (HTTP 400) — never a third outcome — and which of the two is the strategy
+// table's needs-a-DAG column, not the entry point's choice.
+func TestCyclicInputEveryEntry(t *testing.T) {
 	for _, c := range cyclicCases() {
 		g, db, _, err := c.materialize()
 		if err != nil {
 			t.Fatal(err)
 		}
 		full := Oracle(c.Nodes, g.Arcs(), nil)
-		for _, sources := range cyclicShapes(t, c, full) {
-			want := Oracle(c.Nodes, g.Arcs(), sources)
-			for _, alg := range core.Algorithms() {
-				res, err := core.Run(db, alg, core.Query{Sources: sources}, c.config())
-				if err != nil {
-					t.Fatalf("case {%s}: %s sources %v: %v", c, alg, sources, err)
-				}
-				if diff(res.Successors, want) != nil {
-					wrong[alg] = true
-				}
-			}
-		}
-		cc, err := tcstudy.ClosureOfCyclic(tcstudy.NewGraph(c.Nodes, g.Arcs()), tcstudy.BTC, c.config())
+		srv := server.New(db, server.Options{})
+		sess, err := core.NewSession(db, c.config())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make(map[int32][]int32, c.Nodes)
-		for v := 1; v <= c.Nodes; v++ {
-			got[int32(v)] = cc.Successors[v]
+		for _, sources := range cyclicShapes(t, c, full) {
+			want := Oracle(c.Nodes, g.Arcs(), sources)
+			q := core.Query{Sources: sources}
+			for _, alg := range core.Algorithms() {
+				entries := []struct {
+					name string
+					run  func() (map[int32][]int32, error)
+				}{
+					{"Run", func() (map[int32][]int32, error) {
+						res, err := core.Run(db, alg, q, c.config())
+						return successorsOf(res), err
+					}},
+					{"RunOne", func() (map[int32][]int32, error) {
+						r := core.RunOne(db, core.Request{Alg: alg, Query: q, Cfg: c.config()})
+						return successorsOf(r.Result), r.Err
+					}},
+					{"Session.Run", func() (map[int32][]int32, error) {
+						res, err := sess.Run(alg, q)
+						return successorsOf(res), err
+					}},
+					{"POST /v1/query", func() (map[int32][]int32, error) {
+						var reply api.QueryResponse
+						code := serve(t, srv, "POST", "/v1/query", api.QueryRequest{
+							Algorithm: string(alg), Sources: sources, BufferPages: c.BufferPages, IncludeSuccessors: true,
+						}, &reply)
+						switch code {
+						case http.StatusOK:
+							return reply.Successors, nil
+						case http.StatusBadRequest:
+							return nil, &core.InvalidInputError{Reason: "400"}
+						}
+						return nil, fmt.Errorf("status %d", code)
+					}},
+				}
+				for _, e := range entries {
+					got, err := e.run()
+					var refused *core.InvalidInputError
+					switch {
+					case err == nil:
+						if err := diff(got, want); err != nil {
+							t.Errorf("case {%s}: %s via %s sources %v: %v", c, alg, e.name, sources, err)
+						}
+					case !errors.As(err, &refused):
+						t.Errorf("case {%s}: %s via %s sources %v: neither an answer nor a typed refusal: %v", c, alg, e.name, sources, err)
+					}
+					if answered := err == nil; answered != slices.Contains(core.AcceptsCycles(), alg) {
+						t.Errorf("case {%s}: %s via %s answered=%t, the strategy table says otherwise (%v)", c, alg, e.name, answered, err)
+					}
+				}
+			}
+
+			// The condensation route takes the DAG-only strategies to the
+			// same answer, self-loops included.
+			tg := tcstudy.NewGraph(c.Nodes, g.Arcs())
+			got, _, err := tcstudy.SuccessorsOfCyclic(tg, sources, tcstudy.BTC, c.config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := diff(got, want); err != nil {
+				t.Errorf("case {%s}: SuccessorsOfCyclic sources %v: %v", c, sources, err)
+			}
+			if sources == nil {
+				cc, err := tcstudy.ClosureOfCyclic(tg, tcstudy.BTC, c.config())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v, w := range want {
+					if !slices.Equal(cc.Successors[v], w) {
+						t.Errorf("case {%s}: ClosureOfCyclic node %d: got %v, oracle says %v", c, v, cc.Successors[v], w)
+					}
+				}
+			}
+
+			// GET /v1/reach with no index falls back to the engine (SRCH):
+			// every probe from a requested source is the oracle's membership.
+			for _, src := range sources {
+				for dst := int32(1); dst <= int32(c.Nodes); dst++ {
+					var reply api.ReachResponse
+					if code := serve(t, srv, "GET", fmt.Sprintf("/v1/reach?src=%d&dst=%d", src, dst), nil, &reply); code != http.StatusOK {
+						t.Fatalf("case {%s}: reach %d->%d: status %d", c, src, dst, code)
+					}
+					if wantReach := slices.Contains(want[src], dst); reply.IndexHit || reply.Reachable != wantReach {
+						t.Errorf("case {%s}: reach %d->%d = %t (index_hit=%t), oracle says %t", c, src, dst, reply.Reachable, reply.IndexHit, wantReach)
+					}
+				}
+			}
 		}
-		if diff(got, full) != nil {
-			selfLoopDropped = true
+		// The planner's rectangle model needs a DAG: the same client error.
+		if code := serve(t, srv, "GET", "/v1/plan?sources=1", nil, &api.PlanResponse{}); code != http.StatusBadRequest {
+			t.Errorf("case {%s}: /v1/plan on a cyclic tenant: status %d, want 400", c, code)
 		}
+		srv.Close()
 	}
-	for _, alg := range core.Algorithms() {
-		expect := false
-		switch alg {
-		case core.BTC, core.HYB, core.BJ, core.SRCH, core.SPN, core.JKB, core.JKB2:
-			expect = true
-		}
-		if wrong[alg] != expect {
-			t.Errorf("%s: wrong answers on cyclic input = %t, recorded %t", alg, wrong[alg], expect)
-		}
+}
+
+func successorsOf(res *core.Result) map[int32][]int32 {
+	if res == nil {
+		return nil
 	}
-	if !selfLoopDropped {
-		t.Error("ClosureOfCyclic agrees with the oracle on self-loop nodes; recorded as disagreeing")
-	}
+	return res.Successors
 }

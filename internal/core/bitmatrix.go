@@ -42,25 +42,18 @@ import (
 func (e *engine) runBitMatrix() error {
 	n := e.db.n
 	var (
-		mat      *bitmatrix.Matrix
-		fits     bool
-		trivial  bool // every component is a single node: matrix rows are node ids
-		cyclic   bool // a multi-node component or a self-loop exists
-		comp     []int32
-		members  [][]int32
-		loopComp []bool // components containing a self-loop arc
+		mat     *bitmatrix.Matrix
+		fits    bool
+		trivial bool // every component is a single node: matrix rows are node ids
+		scc     graph.Components
 	)
 	if err := e.timedPhase(true, func() error {
 		arcs := make([]graph.Arc, 0, e.db.rel.NumTuples())
-		var selfLoops []int32
 		var bad *relation.Tuple
 		err := e.db.rel.Scan(e.pool, func(t relation.Tuple) bool {
 			if t.Key < 1 || t.Key > int32(n) || t.Val < 1 || t.Val > int32(n) {
 				bad = &t
 				return false
-			}
-			if t.Key == t.Val {
-				selfLoops = append(selfLoops, t.Key)
 			}
 			arcs = append(arcs, graph.Arc{From: t.Key, To: t.Val})
 			return true
@@ -71,10 +64,9 @@ func (e *engine) runBitMatrix() error {
 		if bad != nil {
 			return fmt.Errorf("bitmatrix: relation tuple (%d,%d) outside node space 1..%d", bad.Key, bad.Val, n)
 		}
-		var k int
-		comp, k = graph.SCC(n, arcs)
+		scc = graph.SCC(n, arcs)
+		comp, k := scc.Component, scc.K()
 		trivial = k == n
-		cyclic = !trivial || len(selfLoops) > 0
 		// The condensation is the graph the kernel computes over; report
 		// its shape where the list algorithms report their magic graph.
 		e.met.MagicNodes = int64(k)
@@ -125,15 +117,6 @@ func (e *engine) runBitMatrix() error {
 		fits = bitmatrix.Fits(k, condArcs)
 		if !fits {
 			mat = nil
-			return nil
-		}
-		members = make([][]int32, k+1)
-		for v := int32(1); v <= int32(n); v++ {
-			members[comp[v]] = append(members[comp[v]], v)
-		}
-		loopComp = make([]bool, k+1)
-		for _, v := range selfLoops {
-			loopComp[comp[v]] = true
 		}
 		return nil
 	}); err != nil {
@@ -144,7 +127,7 @@ func (e *engine) runBitMatrix() error {
 		// Out of the kernel's regime: hand the query to the list engine.
 		// The scan above stays charged to restructuring — it is the honest
 		// cost of deciding.
-		if cyclic {
+		if !e.db.acyclic {
 			return e.runSchmitz()
 		}
 		return e.runListClosure(specBTC)
@@ -163,7 +146,7 @@ func (e *engine) runBitMatrix() error {
 			// numbering is a reverse-topological order of those nodes.
 			order := make([]int, n)
 			for v := 1; v <= n; v++ {
-				order[comp[v]-1] = v
+				order[scc.Component[v]-1] = v
 			}
 			st = mat.ClosureDAG(order)
 		} else {
@@ -203,55 +186,10 @@ func (e *engine) runBitMatrix() error {
 			e.met.SourceTuples += int64(len(succ))
 		}
 	} else {
-		// A node in a cyclic component reaches every member of its own
-		// component, itself included (a multi-node component is a cycle; a
-		// singleton is cyclic only via a self-loop, tracked in loopComp).
-		// Walking original node ids in ascending order and bit-testing
-		// their component produces each row already sorted and
-		// duplicate-free, and every source in one component shares the same
-		// expansion.
-		expanded := make(map[int32][]int32)
-		// Hoist each node's component word index and bit mask so the
-		// per-row expansion test is two loads and a mask.
-		wordIdx := make([]int32, n+1)
-		mask := make([]uint64, n+1)
-		for v := 1; v <= n; v++ {
-			cv := comp[v]
-			wordIdx[v] = cv >> 6
-			mask[v] = 1 << (uint(cv) & 63)
-		}
+		// Rows are component ids: the condensation's one expansion turns
+		// each source's row back into nodes, ascending.
 		for _, s := range e.sources() {
-			cu := comp[s]
-			succ, ok := expanded[cu]
-			if !ok {
-				row := mat.Row(int(cu))
-				selfReach := len(members[cu]) > 1 || loopComp[cu]
-				// Size the row exactly — members of every reachable
-				// component, plus the source's own component when it is
-				// cyclic — so the fill loop never regrows.
-				count := 0
-				if selfReach {
-					count = len(members[cu])
-				}
-				for wi, w := range row {
-					for w != 0 {
-						cv := int32(wi*64 + bits.TrailingZeros64(w))
-						count += len(members[cv])
-						w &= w - 1
-					}
-				}
-				succ = make([]int32, 0, count)
-				for v := int32(1); v <= int32(n); v++ {
-					if comp[v] == cu {
-						if selfReach {
-							succ = append(succ, v)
-						}
-					} else if row[wordIdx[v]]&mask[v] != 0 {
-						succ = append(succ, v)
-					}
-				}
-				expanded[cu] = succ
-			}
+			succ := scc.Expand(s, mat.Row(int(scc.Component[s])))
 			e.answer[s] = succ
 			e.met.SourceTuples += int64(len(succ))
 		}

@@ -56,6 +56,12 @@ type strategy struct {
 	// partitioning would duplicate the matrix per worker: it ignores the
 	// setting, exactly as CTC and single-source queries do.
 	partitions bool
+	// needsDAG reports whether the strategy is exact only on acyclic input:
+	// the list-closure and Compute_Tree families take a reverse DFS
+	// post-order for a topological one (restructure.go). The others search,
+	// iterate to a fixpoint or condense, and are exact on any digraph.
+	// Request.Validate refuses a needsDAG strategy on a cyclic database.
+	needsDAG bool
 }
 
 // strategies is the one place the set of algorithms is written down, in
@@ -64,17 +70,17 @@ type strategy struct {
 // the dense-core bit-matrix strategy). BTC, HYB, BJ and SPN are
 // configurations of the list-closure driver (closure.go).
 var strategies = [...]strategy{
-	{BTC, listClosure(specBTC), true},
-	{HYB, listClosure(specHYB), true},
-	{BJ, listClosure(specBJ), true},
-	{SRCH, (*engine).runSRCH, true},
-	{SPN, listClosure(specSPN), true},
-	{JKB, func(e *engine) error { return e.runJKB(false) }, true},
-	{JKB2, func(e *engine) error { return e.runJKB(true) }, true},
-	{SEMI, (*engine).runSeminaive, true},
-	{WARREN, (*engine).runWarren, true},
-	{SCHMITZ, (*engine).runSchmitz, true},
-	{BITM, (*engine).runBitMatrix, false},
+	{alg: BTC, run: listClosure(specBTC), partitions: true, needsDAG: true},
+	{alg: HYB, run: listClosure(specHYB), partitions: true, needsDAG: true},
+	{alg: BJ, run: listClosure(specBJ), partitions: true, needsDAG: true},
+	{alg: SRCH, run: (*engine).runSRCH, partitions: true},
+	{alg: SPN, run: listClosure(specSPN), partitions: true, needsDAG: true},
+	{alg: JKB, run: func(e *engine) error { return e.runJKB(false) }, partitions: true, needsDAG: true},
+	{alg: JKB2, run: func(e *engine) error { return e.runJKB(true) }, partitions: true, needsDAG: true},
+	{alg: SEMI, run: (*engine).runSeminaive, partitions: true},
+	{alg: WARREN, run: (*engine).runWarren, partitions: true},
+	{alg: SCHMITZ, run: (*engine).runSchmitz, partitions: true},
+	{alg: BITM, run: (*engine).runBitMatrix},
 }
 
 // strategyOf finds an algorithm's row; nil when there is none.
@@ -92,6 +98,18 @@ func Algorithms() []Algorithm {
 	algs := make([]Algorithm, len(strategies))
 	for i, s := range strategies {
 		algs[i] = s.alg
+	}
+	return algs
+}
+
+// AcceptsCycles lists the algorithms that are exact on cyclic input, in
+// table order; the rest need a DAG.
+func AcceptsCycles() []Algorithm {
+	var algs []Algorithm
+	for _, s := range strategies {
+		if !s.needsDAG {
+			algs = append(algs, s.alg)
+		}
 	}
 	return algs
 }
@@ -170,6 +188,9 @@ type Database struct {
 	btree    *relation.BTree
 	invBtree *relation.BTree
 	n        int
+	// acyclic records whether the stored graph is a DAG, learnt once when
+	// the database is built or opened and never charged to a query.
+	acyclic bool
 
 	// Dataset fingerprint, computed lazily on first use (the stored
 	// relation is immutable once built). See Fingerprint.
@@ -183,10 +204,11 @@ func NewDatabase(n int, arcs []graph.Arc) *Database {
 	disk := pagedisk.New()
 	ts := graphgen.Tuples(arcs)
 	db := &Database{
-		disk: disk,
-		rel:  relation.Build(disk, "graph", ts),
-		inv:  relation.BuildInverse(disk, "graph-inverse", ts),
-		n:    n,
+		disk:    disk,
+		rel:     relation.Build(disk, "graph", ts),
+		inv:     relation.BuildInverse(disk, "graph-inverse", ts),
+		n:       n,
+		acyclic: graph.IsDAG(n, arcs),
 	}
 	db.buildIndexes()
 	// The base relations and indexes are complete and immutable from here
@@ -223,11 +245,12 @@ func NewDatabaseWeighted(n int, arcs []graph.Arc, weight func(graph.Arc) int32) 
 		return nil, err
 	}
 	db := &Database{
-		disk: disk,
-		rel:  rel,
-		inv:  relation.BuildInverse(disk, "graph-inverse", ts),
-		wcol: wcol,
-		n:    n,
+		disk:    disk,
+		rel:     rel,
+		inv:     relation.BuildInverse(disk, "graph-inverse", ts),
+		wcol:    wcol,
+		n:       n,
+		acyclic: graph.IsDAG(n, arcs),
 	}
 	db.buildIndexes()
 	disk.SealAll()
@@ -303,7 +326,8 @@ func fileID(id int) pagedisk.FileID { return pagedisk.FileID(id) }
 
 // InvalidInputError reports a request the engine refuses because of its
 // own inputs: an unknown algorithm or policy, a buffer pool too small, a
-// source outside the graph. A serving tier maps it to a client error.
+// source outside the graph, a DAG-only algorithm on a cyclic graph. A
+// serving tier maps it to a client error.
 type InvalidInputError struct{ Reason string }
 
 func (e *InvalidInputError) Error() string { return "core: " + e.Reason }
@@ -370,15 +394,19 @@ func DedupSources(sources []int32) []int32 {
 // exactly the source set the engine expands. Failures are
 // *InvalidInputError.
 func (r Request) Validate(db *Database) (Request, error) {
-	if strategyOf(r.Alg) == nil {
+	st := strategyOf(r.Alg)
+	if st == nil {
 		return r, invalidInput("unknown algorithm %q (have %v)", r.Alg, Algorithms())
 	}
-	return r.validateInputs(db)
+	return r.validateInputs(db, st.needsDAG)
 }
 
 // validateInputs is Validate without the algorithm lookup, for RunPaths,
-// whose aggregates are not rows of the strategy table.
-func (r Request) validateInputs(db *Database) (Request, error) {
+// whose aggregates are not rows of the strategy table (and all need a DAG).
+func (r Request) validateInputs(db *Database, needsDAG bool) (Request, error) {
+	if needsDAG && !db.acyclic {
+		return r, invalidInput("%s needs a DAG and the stored graph has a cycle; the algorithms that accept cycles are %v", r.Alg, AcceptsCycles())
+	}
 	r.Cfg = r.Cfg.withDefaults()
 	if err := r.Cfg.validate(); err != nil {
 		return r, err

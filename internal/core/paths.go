@@ -67,7 +67,7 @@ func RunPaths(db *Database, agg PathAggregate, q Query, cfg Config) (*PathResult
 	default:
 		return nil, fmt.Errorf("core: unknown path aggregate %q", agg)
 	}
-	r, err := Request{Alg: Algorithm("paths-" + string(agg)), Query: q, Cfg: cfg}.validateInputs(db)
+	r, err := Request{Alg: Algorithm("paths-" + string(agg)), Query: q, Cfg: cfg}.validateInputs(db, true)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"tcstudy/internal/graph"
 	"tcstudy/internal/pagedisk"
 	"tcstudy/internal/relation"
 )
@@ -102,5 +103,16 @@ func OpenDatabase(dir string) (*Database, error) {
 	// As in NewDatabase: the base files are immutable once the indexes
 	// exist, so seal them for lock-free, copy-free concurrent reads.
 	disk.SealAll()
+	// Learn once whether the stored graph is a DAG (see Request.Validate).
+	arcs, err := db.Arcs()
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range arcs {
+		if a.From < 1 || a.From > int32(db.n) || a.To < 1 || a.To > int32(db.n) {
+			return nil, fmt.Errorf("core: snapshot in %s stores arc (%d,%d) outside its node space 1..%d", dir, a.From, a.To, db.n)
+		}
+	}
+	db.acyclic = graph.IsDAG(db.n, arcs)
 	return db, nil
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
 	"tcstudy/internal/pagedisk"
 )
@@ -139,4 +144,49 @@ func TestWeightedSaveOpenRoundTrip(t *testing.T) {
 		all = append(all, v)
 	}
 	checkPathValues(t, MinWeight, res.Values, want, all)
+}
+
+// TestOpenDatabaseLearnsCycles pins that a restored database knows whether
+// its graph is a DAG exactly as a built one does, and that a snapshot whose
+// arcs leave the manifest's node space is refused rather than analysed.
+func TestOpenDatabaseLearnsCycles(t *testing.T) {
+	arcs := []graph.Arc{{From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 1}, {From: 3, To: 4}}
+	dir := t.TempDir()
+	if err := SaveDatabase(NewDatabase(4, arcs), dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDatabase(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused *InvalidInputError
+	if _, err := Run(re, BTC, Query{}, Config{BufferPages: 8}); !errors.As(err, &refused) {
+		t.Fatalf("BTC on a restored cyclic database: %v, want *InvalidInputError", err)
+	}
+	res, err := Run(re, SCHMITZ, Query{Sources: []int32{1}}, Config{BufferPages: 8})
+	if err != nil || len(res.Successors[1]) != 4 {
+		t.Fatalf("schmitz on a restored cyclic database: %v, %v", res, err)
+	}
+
+	path := filepath.Join(dir, manifestName)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := gob.NewDecoder(f).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	m.N = 3
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDatabase(dir); err == nil || !strings.Contains(err.Error(), "outside its node space") {
+		t.Fatalf("opened a snapshot with arcs outside 1..N: %v", err)
+	}
 }

@@ -124,18 +124,15 @@ func TestSchmitzCyclicRandomized(t *testing.T) {
 }
 
 func TestSchmitzMatchesCondensationPipeline(t *testing.T) {
-	// Same cyclic graph: Schmitz end-to-end vs condense-then-BTC must
-	// agree on reachability.
+	// Same cyclic graph, self-arcs included: Schmitz end-to-end vs
+	// condense-then-BTC must agree on reachability.
 	rng := rand.New(rand.NewSource(88))
 	n := 120
 	var arcs []graph.Arc
 	for i := 1; i <= n; i++ {
 		deg := rng.Intn(4)
 		for k := 0; k < deg; k++ {
-			j := rng.Intn(n) + 1
-			if j != i {
-				arcs = append(arcs, graph.Arc{From: int32(i), To: int32(j)})
-			}
+			arcs = append(arcs, graph.Arc{From: int32(i), To: int32(rng.Intn(n) + 1)})
 		}
 	}
 	g := graph.New(n, arcs)

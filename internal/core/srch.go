@@ -39,8 +39,9 @@ func (e *engine) runSRCH() error {
 				srcSpan = e.phaseSpan.Child("source", obsv.KV("node", s))
 				srcBase = e.pool.Stats()
 			}
+			// The source starts outside its own member set: it is its own
+			// successor exactly when a cycle leads back to it.
 			member.Clear()
-			member.Add(s) // a node is not its own successor in a DAG
 			stack = append(stack[:0], s)
 			for len(stack) > 0 {
 				y := stack[len(stack)-1]

@@ -12,23 +12,59 @@ import (
 // before closure computation. This file supplies that preprocessing so the
 // library handles arbitrary directed graphs end to end.
 
+// Components is the strongly-connected-component partition of a directed
+// graph, and the one owner of what a component expands to.
+type Components struct {
+	// Component[v] is the component of node v (index 0 unused), numbered
+	// 1..K in reverse topological order: for an arc u→v across components,
+	// Component[v] < Component[u].
+	Component []int32
+	// Cyclic[c] reports whether the nodes of component c reach themselves:
+	// it has more than one member, or its one member carries a self-arc
+	// (index 0 unused).
+	Cyclic []bool
+}
+
+// K reports the number of components.
+func (c Components) K() int { return len(c.Cyclic) - 1 }
+
+// Expand translates one row of a closure over components back to nodes:
+// reached holds one bit per component (bit c of word c/64), set for the
+// components src's component reaches in the acyclic condensation. The
+// result is every member of a reached component plus, when it is cyclic,
+// of src's own — ascending and duplicate-free, because it is produced by
+// one walk over the node ids.
+func (c Components) Expand(src int32, reached []uint64) []int32 {
+	cu := c.Component[src]
+	var out []int32
+	for v := int32(1); v < int32(len(c.Component)); v++ {
+		cv := c.Component[v]
+		hit := reached[cv>>6]&(1<<uint(cv&63)) != 0
+		if cv == cu {
+			hit = c.Cyclic[cu]
+		}
+		if hit {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // Condensation maps a directed graph onto its DAG of strongly connected
 // components.
 type Condensation struct {
+	Components
 	// DAG is the condensation graph; its nodes are component numbers 1..K.
 	DAG *Graph
-	// Component[v] is the DAG node that original node v belongs to
-	// (index 0 unused).
-	Component []int32
 	// Members[c] lists the original nodes of component c (index 0 unused).
 	Members [][]int32
 }
 
-// tarjanComponents is the iterative Tarjan SCC core shared by Condense and
-// SCC: children(v) yields v's successors; comp[v] is v's component,
-// numbered 1..nComp in reverse topological discovery order (for an arc
-// u→v across components, comp[v] < comp[u]).
-func tarjanComponents(n int, children func(int32) []int32) (comp []int32, nComp int32) {
+// tarjanComponents is the iterative Tarjan SCC core under SCC: node v's
+// successors are flat[off[v]:off[v+1]]; comp[v] is v's component, numbered
+// 1..nComp in reverse topological discovery order (for an arc u→v across
+// components, comp[v] < comp[u]).
+func tarjanComponents(n int, off, flat []int32) (comp []int32, nComp int32) {
 	index := make([]int32, n+1) // 0 = unvisited; else discovery index+1
 	lowlink := make([]int32, n+1)
 	onStack := make([]bool, n+1)
@@ -52,7 +88,7 @@ func tarjanComponents(n int, children func(int32) []int32) (comp []int32, nComp 
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			v := f.node
-			if ch := children(v); f.child < len(ch) {
+			if ch := flat[off[v]:off[v+1]]; f.child < len(ch) {
 				c := ch[f.child]
 				f.child++
 				if index[c] == 0 {
@@ -99,10 +135,9 @@ func tarjanComponents(n int, children func(int32) []int32) (comp []int32, nComp 
 
 // SCC computes the strongly connected components over nodes 1..n directly
 // from an arc list, without materializing a Graph (no per-node sorting or
-// deduplication — duplicate arcs and self-arcs are harmless). comp[v] is
-// v's component, numbered 1..k in reverse topological order. Arcs
+// deduplication — duplicate arcs and self-arcs are harmless). Arcs
 // mentioning nodes outside 1..n cause a panic, as in New.
-func SCC(n int, arcs []Arc) (comp []int32, k int) {
+func SCC(n int, arcs []Arc) Components {
 	// Compact CSR adjacency: one counting pass, one fill pass.
 	off := make([]int32, n+2)
 	for _, a := range arcs {
@@ -120,10 +155,43 @@ func SCC(n int, arcs []Arc) (comp []int32, k int) {
 		flat[off[a.From]+cur[a.From]] = a.To
 		cur[a.From]++
 	}
-	c, nc := tarjanComponents(n, func(v int32) []int32 {
-		return flat[off[v]:off[v+1]]
-	})
-	return c, int(nc)
+	comp, k := tarjanComponents(n, off, flat)
+	size := make([]int32, k+1)
+	for v := 1; v <= n; v++ {
+		size[comp[v]]++
+	}
+	cyclic := make([]bool, k+1)
+	for c := range cyclic {
+		cyclic[c] = size[c] > 1
+	}
+	for _, a := range arcs {
+		if a.From == a.To {
+			cyclic[comp[a.From]] = true
+		}
+	}
+	return Components{Component: comp, Cyclic: cyclic}
+}
+
+// IsDAG reports whether the arcs over nodes 1..n form an acyclic graph.
+// An arc list that only ever points from a smaller to a larger id — every
+// generated study graph — is decided in one pass; anything else by SCC.
+func IsDAG(n int, arcs []Arc) bool {
+	forward := true
+	for _, a := range arcs {
+		if a.From >= a.To {
+			forward = false
+			break
+		}
+	}
+	if forward {
+		return true
+	}
+	for _, cyclic := range SCC(n, arcs).Cyclic {
+		if cyclic {
+			return false
+		}
+	}
+	return true
 }
 
 // Condense computes the strongly connected components of g with Tarjan's
@@ -132,47 +200,31 @@ func SCC(n int, arcs []Arc) (comp []int32, k int) {
 // order and the returned DAG is acyclic by construction; self-arcs and
 // duplicate inter-component arcs are dropped.
 func (g *Graph) Condense() *Condensation {
-	n := g.n
-	comp, nComp := tarjanComponents(n, g.Children)
-
-	members := make([][]int32, nComp+1)
-	for v := int32(1); v <= int32(n); v++ {
-		members[comp[v]] = append(members[comp[v]], v)
+	arcs := g.Arcs()
+	c := &Condensation{Components: SCC(g.n, arcs)}
+	comp := c.Component
+	c.Members = make([][]int32, c.K()+1)
+	for v := int32(1); v <= int32(g.n); v++ {
+		c.Members[comp[v]] = append(c.Members[comp[v]], v)
 	}
-	var arcs []Arc
-	for v := int32(1); v <= int32(n); v++ {
-		for _, c := range g.adj[v] {
-			if comp[v] != comp[c] {
-				arcs = append(arcs, Arc{comp[v], comp[c]})
-			}
+	dag := arcs[:0] // filtered in place: SCC kept no reference to arcs
+	for _, a := range arcs {
+		if comp[a.From] != comp[a.To] {
+			dag = append(dag, Arc{comp[a.From], comp[a.To]})
 		}
 	}
-	return &Condensation{
-		DAG:       New(int(nComp), arcs),
-		Component: comp,
-		Members:   members,
-	}
+	c.DAG = New(c.K(), dag)
+	return c
 }
 
 // ExpandClosure translates a closure over condensation components back to
-// the original node space: node u reaches node v iff comp(u) reaches
-// comp(v) in the DAG closure, or they share a non-trivial component.
-// succ is the DAG closure as returned by Closure on the condensation DAG.
-// The result maps each original node to its successors (unsorted).
+// the original node space (see Expand). succ is the DAG closure as returned
+// by Closure on the condensation DAG; the result maps each original node to
+// its successors, ascending.
 func (c *Condensation) ExpandClosure(succ []*bitset.Set) [][]int32 {
-	n := len(c.Component) - 1
-	out := make([][]int32, n+1)
-	for u := int32(1); u <= int32(n); u++ {
-		cu := c.Component[u]
-		var res []int32
-		// Nodes in the same (cyclic) component are mutual successors.
-		if len(c.Members[cu]) > 1 {
-			res = append(res, c.Members[cu]...)
-		}
-		succ[cu].ForEach(func(cv int32) {
-			res = append(res, c.Members[cv]...)
-		})
-		out[u] = res
+	out := make([][]int32, len(c.Component))
+	for u := int32(1); u < int32(len(c.Component)); u++ {
+		out[u] = c.Expand(u, succ[c.Component[u]].Words())
 	}
 	return out
 }

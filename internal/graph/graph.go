@@ -9,8 +9,13 @@
 package graph
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"os"
 	"sort"
+	"strconv"
+	"strings"
 
 	"tcstudy/internal/bitset"
 )
@@ -51,6 +56,45 @@ func New(n int, arcs []Arc) *Graph {
 		g.adj[i] = out
 	}
 	return g
+}
+
+// ReadArcs parses an arc file: one "src dst" pair of positive node ids per
+// line (the tcgen -dump format), blank lines and lines starting with #
+// skipped. It returns the arcs and the largest node id mentioned, which is
+// the node count of the graph they describe.
+func ReadArcs(r io.Reader) (arcs []Arc, nodes int, err error) {
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		if len(fields) != 2 {
+			return nil, 0, fmt.Errorf("line %d: want \"src dst\", got %q", line, sc.Text())
+		}
+		from, err1 := strconv.ParseInt(fields[0], 10, 32)
+		to, err2 := strconv.ParseInt(fields[1], 10, 32)
+		if err1 != nil || err2 != nil || from < 1 || to < 1 {
+			return nil, 0, fmt.Errorf("line %d: bad arc %q", line, sc.Text())
+		}
+		nodes = max(nodes, int(from), int(to))
+		arcs = append(arcs, Arc{From: int32(from), To: int32(to)})
+	}
+	return arcs, nodes, sc.Err()
+}
+
+// ReadArcFile is ReadArcs over the named file, which its errors name.
+func ReadArcFile(path string) ([]Arc, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	arcs, nodes, err := ReadArcs(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return arcs, nodes, nil
 }
 
 // N reports the number of nodes.

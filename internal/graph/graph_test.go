@@ -3,6 +3,9 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -365,6 +368,30 @@ func TestCondenseCycle(t *testing.T) {
 	if _, err := c.DAG.TopoSort(); err != nil {
 		t.Fatalf("condensation cyclic: %v", err)
 	}
+	if !c.Cyclic[c.Component[1]] || !c.Cyclic[c.Component[3]] || c.Cyclic[c.Component[5]] {
+		t.Fatalf("cyclic components = %v over %v", c.Cyclic, c.Component)
+	}
+}
+
+func TestIsDAG(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arcs []Arc
+		want bool
+	}{
+		{"no arcs", nil, true},
+		{"forward arcs only", []Arc{{1, 2}, {2, 3}, {1, 3}}, true},
+		{"a backward arc that closes nothing", []Arc{{3, 1}, {1, 2}}, true},
+		{"a back arc closing a cycle", []Arc{{1, 2}, {2, 3}, {3, 1}}, false},
+		{"a self-arc", []Arc{{1, 2}, {2, 2}}, false},
+	} {
+		if got := IsDAG(3, tc.arcs); got != tc.want {
+			t.Errorf("%s: IsDAG = %t, want %t", tc.name, got, tc.want)
+		}
+		if _, err := New(3, tc.arcs).TopoSort(); (err == nil) != tc.want {
+			t.Errorf("%s: TopoSort disagrees: %v", tc.name, err)
+		}
+	}
 }
 
 func TestCondensationClosureMatchesBruteForce(t *testing.T) {
@@ -374,7 +401,7 @@ func TestCondensationClosureMatchesBruteForce(t *testing.T) {
 		var arcs []Arc
 		for i := 1; i <= n; i++ {
 			for j := 1; j <= n; j++ {
-				if i != j && rng.Intn(6) == 0 {
+				if rng.Intn(6) == 0 { // self-arcs included: such a node reaches itself
 					arcs = append(arcs, Arc{int32(i), int32(j)})
 				}
 			}
@@ -546,5 +573,37 @@ func TestMagicGraphProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReadArcs(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		arcs     []Arc
+		nodes    int
+		errHas   string
+	}{
+		{"pairs", "1 2\n2 7\n", []Arc{{1, 2}, {2, 7}}, 7, ""},
+		{"comments, blank lines and spacing", "# tcgen -dump\n\n  3\t4  \n#5 6\n", []Arc{{3, 4}}, 4, ""},
+		{"empty input", "", nil, 0, ""},
+		{"three fields", "1 2\n1 2 3\n", nil, 0, "line 2: want"},
+		{"not a number", "1 x\n", nil, 0, "line 1: bad arc"},
+		{"node id zero", "4 5\n0 1\n", nil, 0, "line 2: bad arc"},
+		{"negative node id", "1 -2\n", nil, 0, "line 1: bad arc"},
+		{"node id beyond int32", "1 4294967297\n", nil, 0, "line 1: bad arc"},
+	} {
+		arcs, nodes, err := ReadArcs(strings.NewReader(tc.in))
+		if tc.errHas != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.errHas)
+			}
+			continue
+		}
+		if err != nil || nodes != tc.nodes || !slices.Equal(arcs, tc.arcs) {
+			t.Errorf("%s: got %v over %d nodes (%v), want %v over %d", tc.name, arcs, nodes, err, tc.arcs, tc.nodes)
+		}
+	}
+	if _, _, err := ReadArcFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Error("ReadArcFile opened a missing file")
 	}
 }

@@ -100,8 +100,3 @@ func (g *Graph) ComputeStats() (Stats, error) {
 	st.IrredundArcs = nIrr
 	return st, nil
 }
-
-// ArcLocality returns level(from) - level(to) for one arc given the levels
-// slice (Section 5.3: the "distance" an arc spans, which predicts whether
-// the child's successor list is still buffered when the arc is processed).
-func ArcLocality(levels []int32, a Arc) int32 { return levels[a.From] - levels[a.To] }

@@ -154,12 +154,8 @@ func FuzzIndexReach(f *testing.F) {
 	})
 }
 
-// FuzzIndexReachCyclic builds over arbitrary (cyclic) graphs and checks
-// against the condensation-expanded reference closure. Self-arcs are
-// excluded: the repository reference (Condensation.ExpandClosure) treats a
-// trivial component as non-self-reaching, and the study's generators never
-// emit them; the index's richer self-loop semantics are unit-tested
-// directly.
+// FuzzIndexReachCyclic builds over arbitrary (cyclic) graphs, self-arcs
+// included, and checks against the condensation-expanded reference closure.
 func FuzzIndexReachCyclic(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 1})
 	f.Add([]byte{5, 1, 4, 2, 3, 3, 2, 4, 1, 5, 1, 3, 3, 5})
@@ -170,9 +166,7 @@ func FuzzIndexReachCyclic(f *testing.F) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			from := int32(raw[i]%n) + 1
 			to := int32(raw[i+1]%n) + 1
-			if from != to {
-				arcs = append(arcs, graph.Arc{From: from, To: to})
-			}
+			arcs = append(arcs, graph.Arc{From: from, To: to})
 		}
 		g := graph.New(n, arcs)
 		x, err := index.Build(g)

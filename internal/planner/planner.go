@@ -81,8 +81,9 @@ func BuildProfile(g *graph.Graph, samples int, seed int64) (Profile, error) {
 	// a distinct-arc count, the same statistics the engine derives before
 	// selecting the kernel.
 	arcs := g.Arcs()
-	comp, k := graph.SCC(p.N, arcs)
-	p.CondNodes = k
+	scc := graph.SCC(p.N, arcs)
+	comp := scc.Component
+	p.CondNodes = scc.K()
 	seen := make(map[int64]struct{}, len(arcs))
 	for _, a := range arcs {
 		cu, cv := comp[a.From], comp[a.To]

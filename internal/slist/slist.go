@@ -122,9 +122,6 @@ func (s *Store) File() pagedisk.FileID { return s.file }
 // Pool returns the buffer pool the store operates through.
 func (s *Store) Pool() *buffer.Pool { return s.pool }
 
-// NumLists reports the directory size.
-func (s *Store) NumLists() int { return len(s.head) }
-
 // Len reports the number of entries in list id.
 func (s *Store) Len(id int32) int { return int(s.length[id]) }
 
@@ -670,10 +667,6 @@ func (s *Store) UnpinAll(handles []buffer.Handle) {
 		s.pool.Unpin(&handles[i], false)
 	}
 }
-
-// NumPagesUsed reports the store file's length in pages (for space
-// accounting in experiments).
-func (s *Store) NumPagesUsed() int { return s.pool.Disk().NumPages(s.file) }
 
 // FlushList walks the chain of list id and writes every distinct dirty
 // page it touches back to disk — the paper's "write the expanded lists of

@@ -17,13 +17,14 @@
 //	res, _ := db.Run(tcstudy.BTC, tcstudy.Query{}, tcstudy.Config{BufferPages: 20})
 //	fmt.Println("page I/O:", res.Metrics.TotalIO())
 //
-// Cyclic graphs are handled by strongly-connected-component condensation
-// (ClosureOfCyclic); everything else requires a DAG, as in the paper.
+// Cyclic graphs are answered directly by SRCH, SEMI, WARREN, SCHMITZ and
+// BITM; the paper's other candidates need a DAG and reach cyclic input
+// through strongly-connected-component condensation (ClosureOfCyclic,
+// SuccessorsOfCyclic).
 package tcstudy
 
 import (
-	"fmt"
-
+	"tcstudy/internal/bitset"
 	"tcstudy/internal/core"
 	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
@@ -67,9 +68,8 @@ const (
 	SEMI   = core.SEMI
 	WARREN = core.WARREN
 	// SCHMITZ is Schmitz's SCC-based algorithm from the paper's related
-	// work: one Tarjan pass that closes components as they pop. It is the
-	// only list-based algorithm that accepts cyclic graphs directly (a
-	// node inside a cycle reaches itself).
+	// work: one Tarjan pass that closes components as they pop, so it
+	// accepts cyclic graphs directly (a node inside a cycle reaches itself).
 	SCHMITZ = core.SCHMITZ
 	// BITM is the dense-core bit-matrix kernel: the input is condensed to
 	// its component DAG, and when the core fits the in-memory threshold
@@ -113,8 +113,8 @@ type Graph struct {
 }
 
 // NewGraph builds a graph over nodes 1..n. Duplicate arcs are removed.
-// The graph may be cyclic only when used with ClosureOfCyclic; the Run
-// path requires a DAG and reports an error otherwise.
+// The graph may be cyclic: SRCH, SEMI, WARREN, SCHMITZ and BITM run on it
+// as it is, the others refuse it (see Run) and go through ClosureOfCyclic.
 func NewGraph(n int, arcs []Arc) *Graph {
 	g := graph.New(n, arcs)
 	return &Graph{inner: g, arcs: g.Arcs()}
@@ -184,13 +184,12 @@ func (db *DB) Weighted() bool { return db.inner.Weighted() }
 
 // Run executes one query with one algorithm and returns the successor sets
 // along with the full metric record. Each run starts from a cold buffer
-// pool, as in the paper's experiments. Cyclic graphs are accepted only by
-// SCHMITZ and BITM (both condense internally); the other algorithms need a
-// DAG (see ClosureOfCyclic for the condensation route).
+// pool, as in the paper's experiments. On a cyclic graph SRCH, SEMI, WARREN,
+// SCHMITZ and BITM answer exactly (a node on a cycle or with a self-arc
+// reaches itself); the others need a DAG and are refused with an
+// *InvalidInputError from internal/core naming the alternatives (see
+// ClosureOfCyclic for the condensation route).
 func (db *DB) Run(alg Algorithm, q Query, cfg Config) (*Result, error) {
-	if alg != SCHMITZ && alg != BITM && !db.g.IsAcyclic() {
-		return nil, fmt.Errorf("tcstudy: graph is cyclic; use SCHMITZ, BITM, or condense it first (see ClosureOfCyclic)")
-	}
 	return core.Run(db.inner, alg, q, cfg)
 }
 
@@ -226,17 +225,9 @@ type Response = core.Response
 // RunConcurrent executes independent queries in parallel over the
 // database, one buffer pool per query; responses arrive in request order.
 // Each query's metric record is exactly what a solo run would report —
-// page I/O is attributed per pool, not per shared disk. The graph must be
-// acyclic (checked once for the batch).
+// page I/O is attributed per pool, not per shared disk. On a cyclic graph
+// each request is accepted or refused on its own algorithm, as in Run.
 func (db *DB) RunConcurrent(reqs []Request) []Response {
-	if !db.g.IsAcyclic() {
-		err := fmt.Errorf("tcstudy: graph is cyclic; condense it first (see ClosureOfCyclic)")
-		out := make([]Response, len(reqs))
-		for i := range out {
-			out[i] = Response{Err: err}
-		}
-		return out
-	}
 	return core.RunConcurrent(db.inner, reqs)
 }
 
@@ -263,11 +254,9 @@ type PathResult = core.PathResult
 // every node, when sources is empty), the aggregate value for each
 // reachable node. The computation runs on the same paged framework as the
 // reachability algorithms, with the marking optimization necessarily
-// disabled (redundant arcs still matter for path aggregation).
+// disabled (redundant arcs still matter for path aggregation). Path
+// aggregates need a DAG; a cyclic graph is refused as in Run.
 func (db *DB) Paths(agg PathAggregate, sources []int32, cfg Config) (*PathResult, error) {
-	if !db.g.IsAcyclic() {
-		return nil, fmt.Errorf("tcstudy: graph is cyclic; path aggregates need a DAG")
-	}
 	return core.RunPaths(db.inner, agg, Query{Sources: sources}, cfg)
 }
 
@@ -278,7 +267,6 @@ func (db *DB) Paths(agg PathAggregate, sources []int32, cfg Config) (*PathResult
 // runs cold against the intact database.
 type Session struct {
 	inner *core.Session
-	db    *DB
 }
 
 // NewSession opens a warm-buffer query session over the database.
@@ -287,14 +275,12 @@ func (db *DB) NewSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{inner: s, db: db}, nil
+	return &Session{inner: s}, nil
 }
 
-// Run executes one query within the session.
+// Run executes one query within the session. A DAG-only algorithm on a
+// cyclic graph is refused as in DB.Run, at no cost to the session.
 func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
-	if !s.db.g.IsAcyclic() {
-		return nil, fmt.Errorf("tcstudy: graph is cyclic; condense it first (see ClosureOfCyclic)")
-	}
 	return s.inner.Run(alg, q)
 }
 
@@ -359,11 +345,10 @@ type PlanEstimate = planner.Estimate
 // nodes (0 = full closure) by estimated page I/O, using cheap graph
 // statistics — the cost-model counterpart to the rule-based Advise. The
 // models are calibrated for ranking, not absolute prediction (the paper's
-// Section 7 explains why absolute I/O prediction is treacherous).
+// Section 7 explains why absolute I/O prediction is treacherous). The
+// rectangle model is defined on DAGs only: planning a cyclic graph fails
+// with the planner's graph.ErrCyclic.
 func (db *DB) Plan(numSources, bufferPages int) ([]PlanEstimate, error) {
-	if !db.g.IsAcyclic() {
-		return nil, fmt.Errorf("tcstudy: graph is cyclic; condense it first")
-	}
 	if db.profile == nil {
 		p, err := planner.BuildProfile(db.g.inner, 16, 1)
 		if err != nil {
@@ -388,70 +373,58 @@ type CyclicClosure struct {
 // ClosureOfCyclic computes reachability over an arbitrary directed graph by
 // condensing strongly connected components (the standard preprocessing the
 // paper's introduction cites) and running the chosen algorithm on the
-// acyclic condensation.
+// acyclic condensation. It is SuccessorsOfCyclic over every node.
 func ClosureOfCyclic(g *Graph, alg Algorithm, cfg Config) (*CyclicClosure, error) {
 	cond := g.inner.Condense()
-	db := core.NewDatabase(cond.DAG.N(), cond.DAG.Arcs())
-	res, err := core.Run(db, alg, Query{}, cfg)
+	reach, met, err := successorsVia(cond, nil, alg, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Translate the component-level closure back to original nodes.
-	n := g.N()
-	out := make([][]int32, n+1)
-	for u := int32(1); u <= int32(n); u++ {
-		cu := cond.Component[u]
-		var res2 []int32
-		if len(cond.Members[cu]) > 1 {
-			res2 = append(res2, cond.Members[cu]...)
-		}
-		for _, cv := range res.Successors[cu] {
-			res2 = append(res2, cond.Members[cv]...)
-		}
-		out[u] = res2
+	out := make([][]int32, g.N()+1)
+	for v, r := range reach {
+		out[v] = r
 	}
-	return &CyclicClosure{
-		Successors: out,
-		Components: cond.DAG.N(),
-		Metrics:    res.Metrics,
-	}, nil
+	return &CyclicClosure{Successors: out, Components: cond.K(), Metrics: met}, nil
 }
 
 // SuccessorsOfCyclic answers a partial (selection) reachability query over
 // a possibly-cyclic graph: the condensation is computed, the chosen
 // algorithm runs a PTC over the component DAG from the sources'
 // components, and the answer is expanded back to original nodes. The
-// result maps each requested source to its reachable set; a node inside a
-// cycle reaches itself.
+// result maps each requested source (every node, when sources is empty) to
+// its reachable set, ascending; a node inside a cycle or with a self-arc
+// reaches itself.
 func SuccessorsOfCyclic(g *Graph, sources []int32, alg Algorithm, cfg Config) (map[int32][]int32, Metrics, error) {
-	cond := g.inner.Condense()
-	db := core.NewDatabase(cond.DAG.N(), cond.DAG.Arcs())
-	// Map sources to their components, deduplicating shared cycles.
-	compSet := map[int32][]int32{} // component -> requesting sources
-	var compSources []int32
-	for _, s := range sources {
-		c := cond.Component[s]
-		if len(compSet[c]) == 0 {
-			compSources = append(compSources, c)
+	return successorsVia(g.inner.Condense(), sources, alg, cfg)
+}
+
+func successorsVia(cond *graph.Condensation, sources []int32, alg Algorithm, cfg Config) (map[int32][]int32, Metrics, error) {
+	// No sources is the full closure of the condensation, expanded for
+	// every node; otherwise the sources' components are the PTC's sources
+	// (the engine drops the repeats of sources sharing a cycle).
+	var q Query
+	if len(sources) == 0 {
+		sources = make([]int32, len(cond.Component)-1)
+		for i := range sources {
+			sources[i] = int32(i + 1)
 		}
-		compSet[c] = append(compSet[c], s)
+	} else {
+		for _, s := range sources {
+			q.Sources = append(q.Sources, cond.Component[s])
+		}
 	}
-	res, err := core.Run(db, alg, Query{Sources: compSources}, cfg)
+	res, err := core.Run(core.NewDatabase(cond.K(), cond.DAG.Arcs()), alg, q, cfg)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
 	out := make(map[int32][]int32, len(sources))
-	for _, c := range compSources {
-		var reach []int32
-		if len(cond.Members[c]) > 1 {
-			reach = append(reach, cond.Members[c]...)
+	reached := bitset.New(cond.K() + 1)
+	for _, s := range sources {
+		reached.Clear()
+		for _, c := range res.Successors[cond.Component[s]] {
+			reached.Add(c)
 		}
-		for _, cv := range res.Successors[c] {
-			reach = append(reach, cond.Members[cv]...)
-		}
-		for _, s := range compSet[c] {
-			out[s] = reach
-		}
+		out[s] = cond.Expand(s, reached.Words())
 	}
 	return out, res.Metrics, nil
 }

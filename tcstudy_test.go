@@ -1,8 +1,14 @@
 package tcstudy
 
 import (
+	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
+
+	"tcstudy/internal/core"
+	"tcstudy/internal/graph"
 )
 
 func sorted(vals []int32) []int32 {
@@ -82,9 +88,30 @@ func TestRunRejectsCyclicGraph(t *testing.T) {
 	if g.IsAcyclic() {
 		t.Fatal("cycle not detected")
 	}
+	// The refusal is the engine's own, through every façade entry that
+	// takes an algorithm; the strategies exact on cycles are not refused.
 	db := NewDB(g)
-	if _, err := db.Run(BTC, Query{}, Config{BufferPages: 8}); err == nil {
-		t.Fatal("cyclic graph accepted by Run")
+	sess, err := db.NewSession(Config{BufferPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := db.Run(BTC, Query{}, Config{BufferPages: 8})
+	_, sessErr := sess.Run(BTC, Query{})
+	_, pathErr := db.Paths(MinHops, nil, Config{BufferPages: 8})
+	for name, err := range map[string]error{"Run": runErr, "Session.Run": sessErr, "Paths": pathErr} {
+		var refused *core.InvalidInputError
+		if !errors.As(err, &refused) || !strings.Contains(refused.Reason, "schmitz") {
+			t.Errorf("%s on a cyclic graph: %v, want an InvalidInputError naming the alternatives", name, err)
+		}
+	}
+	for _, alg := range []Algorithm{SEMI, WARREN, SRCH} {
+		res, err := sess.Run(alg, Query{Sources: []int32{2}})
+		if err != nil {
+			t.Fatalf("%s on a cyclic graph: %v", alg, err)
+		}
+		if got := sorted(res.Successors[2]); len(got) != 3 {
+			t.Errorf("%s: node 2 of a 3-cycle reaches %v", alg, got)
+		}
 	}
 }
 
@@ -109,16 +136,17 @@ func TestClosureOfCyclic(t *testing.T) {
 		5: {4, 5},
 	}
 	for v, w := range want {
-		got := append([]int32(nil), cc.Successors[v]...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if len(got) != len(w) {
+		if got := cc.Successors[v]; !slices.Equal(got, w) {
 			t.Fatalf("successors of %d = %v, want %v", v, got, w)
 		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("successors of %d = %v, want %v", v, got, w)
-			}
-		}
+	}
+	// A self-arc is a cycle of one: 1 reaches itself, 2 does not.
+	loop, err := ClosureOfCyclic(NewGraph(2, []Arc{{From: 1, To: 1}, {From: 1, To: 2}}), BTC, Config{BufferPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(loop.Successors[1], []int32{1, 2}) || len(loop.Successors[2]) != 0 {
+		t.Fatalf("1->1, 1->2: successors %v, want [1 2] and none", loop.Successors[1:])
 	}
 }
 
@@ -469,12 +497,16 @@ func TestRunConcurrentFacade(t *testing.T) {
 	if len(resps[1].Result.Successors[5]) != len(resps[2].Result.Successors[5]) {
 		t.Fatal("concurrent algorithms disagree")
 	}
-	// A cyclic DB fails every request, cleanly.
+	// On a cyclic DB each request stands on its own algorithm: BTC is
+	// refused by the engine's validation, SRCH beside it answers.
 	cyc := NewDB(NewGraph(2, []Arc{{From: 1, To: 2}, {From: 2, To: 1}}))
-	for _, r := range cyc.RunConcurrent(reqs[:1]) {
-		if r.Err == nil {
-			t.Fatal("cyclic batch succeeded")
-		}
+	cresps := cyc.RunConcurrent([]Request{reqs[0], {Alg: SRCH, Query: Query{Sources: []int32{1}}, Cfg: Config{BufferPages: 8}}})
+	var refused *core.InvalidInputError
+	if !errors.As(cresps[0].Err, &refused) {
+		t.Fatalf("BTC on a cyclic DB: %v, want an InvalidInputError", cresps[0].Err)
+	}
+	if cresps[1].Err != nil || len(cresps[1].Result.Successors[1]) != 2 {
+		t.Fatalf("SRCH on a 2-cycle: %+v", cresps[1])
 	}
 }
 
@@ -518,10 +550,11 @@ func TestPlanFacade(t *testing.T) {
 		t.Fatalf("planned algorithm cost %d, default BTC %d",
 			res.Metrics.TotalIO(), resBTC.Metrics.TotalIO())
 	}
-	// Cyclic DBs refuse planning.
+	// Cyclic DBs refuse planning, with the planner's own error.
 	cyc := NewDB(NewGraph(2, []Arc{{From: 1, To: 2}, {From: 2, To: 1}}))
-	if _, err := cyc.Plan(1, 10); err == nil {
-		t.Fatal("cyclic plan accepted")
+	var cycle graph.ErrCyclic
+	if _, err := cyc.Plan(1, 10); !errors.As(err, &cycle) {
+		t.Fatalf("cyclic plan: %v, want graph.ErrCyclic", err)
 	}
 }
 
