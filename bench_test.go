@@ -1,13 +1,13 @@
-// Benchmarks: one testing.B target per table and figure of the paper's
-// evaluation section, each exercising the exact code path the full-scale
-// experiment runs (cmd/tcbench regenerates the complete artifacts; these
-// benches track the cost of their representative cells on reduced-size
-// graphs so `go test -bench .` stays quick). Page I/O — the paper's
-// primary metric — is reported alongside time via ReportMetric.
+// Benchmarks of what the paper's tables and figures do not cover: the
+// storage substrates, the union inner loop, the related-work baselines and
+// this repository's extensions, on reduced-size study graphs so
+// `go test -bench .` stays quick. The paper's own cells are run at full
+// scale, with shape assertions, by internal/experiments (cmd/tcbench) and
+// timed by bench/'s paper_grid workload. Page I/O — the paper's primary
+// metric — is reported alongside time via ReportMetric.
 package tcstudy_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -80,128 +80,6 @@ func runCell(b *testing.B, name string, alg tcstudy.Algorithm, nSources int, cfg
 		io = res.Metrics.TotalIO()
 	}
 	b.ReportMetric(float64(io), "pageIO/op")
-}
-
-// BenchmarkTable2GraphParameters measures the Table 2 characterization
-// pass (levels, reduction, rectangle model, closure size).
-func BenchmarkTable2GraphParameters(b *testing.B) {
-	bg := family(b, "G5")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bg.g.Stats(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3CostBreakdown measures BTC's full closure of G6 across the
-// study's buffer sizes.
-func BenchmarkTable3CostBreakdown(b *testing.B) {
-	for _, m := range []int{10, 20, 50} {
-		b.Run(fmt.Sprintf("M%d", m), func(b *testing.B) {
-			runCell(b, "G6", tcstudy.BTC, 0, tcstudy.Config{BufferPages: m})
-		})
-	}
-}
-
-// BenchmarkFig6HybridBlocking measures the blocking sweep on G9.
-func BenchmarkFig6HybridBlocking(b *testing.B) {
-	for _, il := range []float64{0, 0.1, 0.3} {
-		b.Run(fmt.Sprintf("ILIMIT%.1f", il), func(b *testing.B) {
-			runCell(b, "G9", tcstudy.HYB, 0, tcstudy.Config{BufferPages: 20, ILIMIT: il})
-		})
-	}
-}
-
-// BenchmarkFig7TreeAlgorithms measures the CTC tree-algorithm comparison on
-// the locality-200 family G5.
-func BenchmarkFig7TreeAlgorithms(b *testing.B) {
-	for _, alg := range []tcstudy.Algorithm{tcstudy.BTC, tcstudy.SPN, tcstudy.JKB, tcstudy.JKB2} {
-		b.Run(string(alg), func(b *testing.B) {
-			runCell(b, "G5", alg, 0, tcstudy.Config{BufferPages: 20})
-		})
-	}
-}
-
-// BenchmarkFig8HighSelectivity measures the high-selectivity PTC grid's
-// algorithms at s=10 on both study graphs.
-func BenchmarkFig8HighSelectivity(b *testing.B) {
-	for _, name := range []string{"G4", "G11"} {
-		for _, alg := range []tcstudy.Algorithm{tcstudy.BTC, tcstudy.BJ, tcstudy.JKB2, tcstudy.SRCH} {
-			b.Run(name+"/"+string(alg), func(b *testing.B) {
-				runCell(b, name, alg, 10, tcstudy.Config{BufferPages: 10})
-			})
-		}
-	}
-}
-
-// BenchmarkFig9SelectionEfficiency measures the tuple-generation accounting
-// path (BTC vs JKB2, whose selection efficiencies bracket the field).
-func BenchmarkFig9SelectionEfficiency(b *testing.B) {
-	for _, alg := range []tcstudy.Algorithm{tcstudy.BTC, tcstudy.JKB2} {
-		b.Run(string(alg), func(b *testing.B) {
-			runCell(b, "G4", alg, 5, tcstudy.Config{BufferPages: 10})
-		})
-	}
-}
-
-// BenchmarkFig10Unions measures the union-heavy SRCH cell.
-func BenchmarkFig10Unions(b *testing.B) {
-	runCell(b, "G4", tcstudy.SRCH, 20, tcstudy.Config{BufferPages: 10})
-}
-
-// BenchmarkFig11Marking measures the marking-optimization hot path (BTC on
-// the heavily redundant G11).
-func BenchmarkFig11Marking(b *testing.B) {
-	runCell(b, "G11", tcstudy.BTC, 10, tcstudy.Config{BufferPages: 10})
-}
-
-// BenchmarkFig12UnmarkedLocality measures the locality bookkeeping on the
-// deep G4.
-func BenchmarkFig12UnmarkedLocality(b *testing.B) {
-	runCell(b, "G4", tcstudy.BJ, 10, tcstudy.Config{BufferPages: 10})
-}
-
-// BenchmarkFig13BufferSize measures buffer sensitivity end to end.
-func BenchmarkFig13BufferSize(b *testing.B) {
-	for _, m := range []int{10, 50} {
-		b.Run(fmt.Sprintf("M%d", m), func(b *testing.B) {
-			runCell(b, "G11", tcstudy.JKB2, 10, tcstudy.Config{BufferPages: m})
-		})
-	}
-}
-
-// BenchmarkFig14LowSelectivity measures the low-selectivity regime (s a
-// quarter of the graph, the bench-scale analogue of s=500 at n=2000).
-func BenchmarkFig14LowSelectivity(b *testing.B) {
-	for _, alg := range []tcstudy.Algorithm{tcstudy.BTC, tcstudy.BJ, tcstudy.JKB2} {
-		b.Run(string(alg), func(b *testing.B) {
-			runCell(b, "G9", alg, benchNodes/4, tcstudy.Config{BufferPages: 20})
-		})
-	}
-}
-
-// BenchmarkTable4WidthPrediction measures the JKB2-vs-BTC pair on the
-// narrow and wide extremes that anchor Table 4.
-func BenchmarkTable4WidthPrediction(b *testing.B) {
-	for _, name := range []string{"G4", "G12"} {
-		for _, alg := range []tcstudy.Algorithm{tcstudy.BTC, tcstudy.JKB2} {
-			b.Run(name+"/"+string(alg), func(b *testing.B) {
-				runCell(b, name, alg, 5, tcstudy.Config{BufferPages: 10})
-			})
-		}
-	}
-}
-
-// BenchmarkAblationMarking measures BTC with the marking optimization
-// disabled, the cost Table DESIGN.md's ablation quantifies.
-func BenchmarkAblationMarking(b *testing.B) {
-	b.Run("on", func(b *testing.B) {
-		runCell(b, "G5", tcstudy.BTC, 0, tcstudy.Config{BufferPages: 10})
-	})
-	b.Run("off", func(b *testing.B) {
-		runCell(b, "G5", tcstudy.BTC, 0, tcstudy.Config{BufferPages: 10, DisableMarking: true})
-	})
 }
 
 // BenchmarkSubstrates isolates the storage substrates under the closure
