@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"tcstudy/internal/bitset"
 )
@@ -183,15 +184,7 @@ func IsDAG(n int, arcs []Arc) bool {
 			break
 		}
 	}
-	if forward {
-		return true
-	}
-	for _, cyclic := range SCC(n, arcs).Cyclic {
-		if cyclic {
-			return false
-		}
-	}
-	return true
+	return forward || !slices.Contains(SCC(n, arcs).Cyclic, true)
 }
 
 // Condense computes the strongly connected components of g with Tarjan's

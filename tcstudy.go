@@ -113,8 +113,8 @@ type Graph struct {
 }
 
 // NewGraph builds a graph over nodes 1..n. Duplicate arcs are removed.
-// The graph may be cyclic: SRCH, SEMI, WARREN, SCHMITZ and BITM run on it
-// as it is, the others refuse it (see Run) and go through ClosureOfCyclic.
+// The graph may be cyclic; Run says which algorithms take it as it is, and
+// ClosureOfCyclic takes the others there.
 func NewGraph(n int, arcs []Arc) *Graph {
 	g := graph.New(n, arcs)
 	return &Graph{inner: g, arcs: g.Arcs()}
@@ -418,13 +418,20 @@ func successorsVia(cond *graph.Condensation, sources []int32, alg Algorithm, cfg
 		return nil, Metrics{}, err
 	}
 	out := make(map[int32][]int32, len(sources))
+	expanded := make(map[int32][]int32) // per component: its members share one expansion
 	reached := bitset.New(cond.K() + 1)
 	for _, s := range sources {
-		reached.Clear()
-		for _, c := range res.Successors[cond.Component[s]] {
-			reached.Add(c)
+		cs := cond.Component[s]
+		reach, done := expanded[cs]
+		if !done {
+			reached.Clear()
+			for _, c := range res.Successors[cs] {
+				reached.Add(c)
+			}
+			reach = cond.Expand(s, reached.Words())
+			expanded[cs] = reach
 		}
-		out[s] = cond.Expand(s, reached.Words())
+		out[s] = reach
 	}
 	return out, res.Metrics, nil
 }
