@@ -51,10 +51,11 @@ type strategy struct {
 	alg Algorithm
 	run func(*engine) error
 	// partitions reports whether a multi-source query may be split across
-	// Config.Parallelism workers (see parallel.go). BITM's kernel closes
-	// the whole condensed core once regardless of the source set, so
-	// partitioning would duplicate the matrix per worker: it ignores the
-	// setting, exactly as CTC and single-source queries do.
+	// Config.Parallelism workers (see parallel.go). The matrix family does
+	// not partition: Blocked Warren closes the whole n×n matrix and BITM's
+	// kernel the whole condensed core whatever the source set, so every
+	// worker would repeat the entire closure. They ignore the setting,
+	// exactly as CTC and single-source queries do.
 	partitions bool
 	// needsDAG reports whether the strategy is exact only on acyclic input:
 	// the list-closure and Compute_Tree families take a reverse DFS
@@ -78,7 +79,7 @@ var strategies = [...]strategy{
 	{alg: JKB, run: func(e *engine) error { return e.runJKB(false) }, partitions: true, needsDAG: true},
 	{alg: JKB2, run: func(e *engine) error { return e.runJKB(true) }, partitions: true, needsDAG: true},
 	{alg: SEMI, run: (*engine).runSeminaive, partitions: true},
-	{alg: WARREN, run: (*engine).runWarren, partitions: true},
+	{alg: WARREN, run: (*engine).runWarren},
 	{alg: SCHMITZ, run: (*engine).runSchmitz, partitions: true},
 	{alg: BITM, run: (*engine).runBitMatrix},
 }
@@ -142,8 +143,12 @@ type Config struct {
 	// temporary files; the merged metric record is the sum of the workers'
 	// records (restructuring work repeats per worker, so parallel runs
 	// report more total I/O than a serial run — they trade pages for
-	// wall-clock time). CTC and single-source queries ignore the setting,
-	// and so does BITM (the strategy table's partitions column).
+	// wall-clock time). The strategies whose work follows the source set
+	// partition (the strategy table's partitions column): the list-closure
+	// family, SRCH, JKB/JKB2, SEMI and SCHMITZ. CTC and single-source
+	// queries ignore the setting, and so do WARREN and BITM, which close
+	// the whole matrix whatever the sources: a worker per slice would
+	// repeat the entire closure.
 	Parallelism int
 	// Trace, when non-nil, is the parent span the engine hangs its phase
 	// spans under: "restructure" and "compute" spans carrying the exact

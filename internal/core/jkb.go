@@ -47,10 +47,7 @@ func (e *engine) runJKB(dual bool) error {
 		return err
 	}
 
-	trees := slist.NewStore(e.pool, "predecessor-trees", e.db.n+1, e.listPolicy)
-	if e.cfg.DisableClustering {
-		trees.SetClustering(false)
-	}
+	trees := e.newStore("predecessor-trees", e.db.n+1)
 	e.store = trees
 
 	if err := e.timedPhase(false, func() error {

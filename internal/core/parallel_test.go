@@ -82,21 +82,31 @@ func sameSet(a, b []int32) bool {
 }
 
 // TestParallelismIgnoredWhenIneligible: CTC and single-source queries run
-// the serial engine bit-for-bit no matter what Parallelism asks for.
+// the serial engine bit-for-bit no matter what Parallelism asks for, and so
+// does a multi-source query of the matrix family: Blocked Warren closes the
+// whole n×n matrix whatever the source set, so partitioning its sources
+// would repeat the entire closure once per worker.
 func TestParallelismIgnoredWhenIneligible(t *testing.T) {
 	_, db := randomDAG(t, 2002, 120, 3, 20)
-	for _, q := range []Query{{}, {Sources: []int32{7}}} {
-		serial, err := Run(db, BTC, q, Config{BufferPages: 8})
+	for _, tc := range []struct {
+		alg Algorithm
+		q   Query
+	}{
+		{BTC, Query{}},
+		{BTC, Query{Sources: []int32{7}}},
+		{WARREN, Query{Sources: []int32{7, 30, 64, 101}}},
+	} {
+		serial, err := Run(db, tc.alg, tc.q, Config{BufferPages: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Run(db, BTC, q, Config{BufferPages: 8, Parallelism: 8})
+		par, err := Run(db, tc.alg, tc.q, Config{BufferPages: 8, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !metricsEqualModuloTime(serial.Metrics, par.Metrics) {
-			t.Errorf("query %v: Parallelism changed an ineligible run's metrics:\nserial   %+v\nparallel %+v",
-				q, serial.Metrics, par.Metrics)
+			t.Errorf("%s query %v: Parallelism changed an ineligible run's metrics:\n%s",
+				tc.alg, tc.q, diffLines(goldenRecord(serial.Metrics), goldenRecord(par.Metrics)))
 		}
 	}
 }

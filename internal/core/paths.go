@@ -101,10 +101,7 @@ func (e *engine) runPathAgg(agg PathAggregate, out *PathResult) error {
 
 	// Aggregate lists live beside the immediate-successor lists: entry
 	// pairs (node, value), written once per node after its expansion.
-	aggStore := slist.NewStore(e.pool, "aggregate-lists", e.db.n+1, e.listPolicy)
-	if e.cfg.DisableClustering {
-		aggStore.SetClustering(false)
-	}
+	aggStore := e.newStore("aggregate-lists", e.db.n+1)
 
 	if err := e.timedPhase(false, func() error {
 		acc := make(map[int32]int64)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
+	"tcstudy/internal/graph"
 	"tcstudy/internal/slist"
 )
 
@@ -32,121 +34,90 @@ func (e *engine) probeInv(v int32, fn func(int32) bool) (int, error) {
 	return e.db.inv.Probe(e.pool, v, fn)
 }
 
-// discover performs the DFS. It fills e.order (topological order of the
-// magic graph), e.topoPos, e.levels and e.isSource, and returns the magic
-// graph's adjacency (children per node; nil for nodes outside it).
-func (e *engine) discover() ([][]int32, error) {
+// children reads node v's immediate successors from the relation, appending
+// them to buf.
+func (e *engine) children(v int32, buf []int32) ([]int32, error) {
+	_, err := e.probeRel(v, func(c int32) bool {
+		buf = append(buf, c)
+		return true
+	})
+	return buf, err
+}
+
+// newStore creates a successor-list store of the given capacity on the
+// run's pool, under the run's list replacement policy and clustering
+// setting.
+func (e *engine) newStore(name string, lists int) *slist.Store {
+	s := slist.NewStore(e.pool, name, lists, e.listPolicy)
+	if e.cfg.DisableClustering {
+		s.SetClustering(false)
+	}
+	return s
+}
+
+// walk is the traversal of the restructuring phase: graph.Walk from the
+// query's sources with each node's children probed from the relation on
+// first visit (with their weights into e.adjW when needWeights is set). It
+// fills e.isSource and returns the magic graph's adjacency (children per
+// node; nil for nodes outside it) and its nodes in DFS postorder; pop
+// receives the strongly connected components as they complete.
+func (e *engine) walk(pop func(members []int32, cyclic bool)) (adj [][]int32, finish []int32, err error) {
 	n := e.db.n
-	adj := make([][]int32, n+1)
+	adj = make([][]int32, n+1)
 	if e.needWeights {
 		e.adjW = make([][]int32, n+1)
-	}
-	visited := make([]bool, n+1)
-	e.levels = make([]int32, n+1)
-	e.topoPos = make([]int32, n+1)
-	for i := range e.topoPos {
-		e.topoPos[i] = -1
 	}
 	e.isSource = make([]bool, n+1)
 	for _, s := range e.q.Sources {
 		e.isSource[s] = true
 	}
-
-	post := make([]int32, 0, n)
-	type frame struct {
-		node int32
-		next int
-	}
-	var stack []frame
-
-	probe := func(v int32) error {
-		var children []int32
+	finish, err = graph.Walk(n, e.sources(), func(v int32) ([]int32, error) {
+		var err error
 		if e.needWeights {
-			var weights []int32
-			_, err := e.db.rel.ProbeWeighted(e.pool, v, e.db.wcol, func(c, w int32) bool {
-				children = append(children, c)
-				weights = append(weights, w)
+			_, err = e.db.rel.ProbeWeighted(e.pool, v, e.db.wcol, func(c, w int32) bool {
+				adj[v] = append(adj[v], c)
+				e.adjW[v] = append(e.adjW[v], w)
 				return true
 			})
-			adj[v] = children
-			e.adjW[v] = weights
-			return err
+		} else {
+			adj[v], err = e.children(v, nil)
 		}
-		_, err := e.probeRel(v, func(c int32) bool {
-			children = append(children, c)
-			return true
-		})
-		adj[v] = children
-		return err
-	}
+		return adj[v], err
+	}, pop)
+	return adj, finish, err
+}
 
-	visit := func(root int32) error {
-		if visited[root] {
-			return nil
-		}
-		visited[root] = true
-		if err := probe(root); err != nil {
-			return err
-		}
-		stack = append(stack, frame{node: root})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				c := adj[f.node][f.next]
-				f.next++
-				if !visited[c] {
-					visited[c] = true
-					if err := probe(c); err != nil {
-						return err
-					}
-					stack = append(stack, frame{node: c})
-				}
-				continue
-			}
-			// Node finished: level is one more than the deepest child.
-			var best int32
-			for _, c := range adj[f.node] {
-				if e.levels[c] > best {
-					best = e.levels[c]
-				}
-			}
-			e.levels[f.node] = best + 1
-			post = append(post, f.node)
-			stack = stack[:len(stack)-1]
-		}
-		return nil
+// discover walks the magic graph of an acyclic input and derives from the
+// postorder what the list algorithms need: e.order (the topological order,
+// its reverse), e.topoPos, e.levels and the rectangle model. It returns the
+// magic graph's adjacency.
+func (e *engine) discover() ([][]int32, error) {
+	adj, finish, err := e.walk(nil)
+	if err != nil {
+		return nil, err
 	}
-
-	var roots []int32
-	if e.q.IsFull() {
-		roots = make([]int32, n)
-		for i := range roots {
-			roots[i] = int32(i + 1)
-		}
-	} else {
-		roots = e.q.Sources
+	e.levels = make([]int32, e.db.n+1)
+	e.topoPos = make([]int32, e.db.n+1)
+	for i := range e.topoPos {
+		e.topoPos[i] = -1
 	}
-	for _, r := range roots {
-		if err := visit(r); err != nil {
-			return nil, err
-		}
-	}
-
-	// Topological order is the reverse postorder.
-	e.order = make([]int32, len(post))
-	for i, v := range post {
-		pos := int32(len(post) - 1 - i)
-		e.order[pos] = v
-		e.topoPos[v] = pos
-	}
-
-	// The rectangle model of the magic graph falls out of the traversal
-	// for free (Theorem 2): H is the mean node level, W = |G_m| / H.
+	// A node finishes after its children, so their levels are known: one
+	// more than the deepest. The rectangle model of the magic graph falls
+	// out of the same pass for free (Theorem 2): H is the mean node level,
+	// W = |G_m| / H.
 	var levelSum, arcs int64
-	for _, v := range e.order {
-		levelSum += int64(e.levels[v])
+	for i, v := range finish {
+		var best int32
+		for _, c := range adj[v] {
+			best = max(best, e.levels[c])
+		}
+		e.levels[v] = best + 1
+		e.topoPos[v] = int32(len(finish) - 1 - i)
+		levelSum += int64(best + 1)
 		arcs += int64(len(adj[v]))
 	}
+	slices.Reverse(finish)
+	e.order = finish
 	e.met.MagicNodes = int64(len(e.order))
 	e.met.MagicArcs = arcs
 	if e.met.MagicNodes > 0 {
@@ -171,10 +142,7 @@ func (e *engine) discover() ([][]int32, error) {
 // list of its children; parent nodes are distinguished by negating their
 // values"); or (child, weight) pairs, the weights read from adjW.
 func (e *engine) buildLists(adj [][]int32, layout listLayout) error {
-	e.store = slist.NewStore(e.pool, "successor-lists", e.db.n+1, e.listPolicy)
-	if e.cfg.DisableClustering {
-		e.store.SetClustering(false)
-	}
+	e.store = e.newStore("successor-lists", e.db.n+1)
 	e.childCount = make([]int32, e.db.n+1)
 	var rank []int // positions in adj[v], by the child's topological position
 	buf := make([]int32, 0, 64)
@@ -278,10 +246,7 @@ func mergeAdopted(parent, adopted []int32) []int32 {
 // relation is probed once per magic node, appending each list in full
 // (Section 4.1: roughly twice the restructuring cost of BTC).
 func (e *engine) buildPredLists(dual bool) (*slist.Store, error) {
-	preds := slist.NewStore(e.pool, "predecessor-lists", e.db.n+1, e.listPolicy)
-	if e.cfg.DisableClustering {
-		preds.SetClustering(false)
-	}
+	preds := e.newStore("predecessor-lists", e.db.n+1)
 	if dual {
 		// One probe of the inverse relation per magic node, filtered to
 		// magic-graph predecessors, appended in one run per list.
@@ -308,13 +273,11 @@ func (e *engine) buildPredLists(dual bool) (*slist.Store, error) {
 	// Single-relation variant: re-probe each magic node's tuples in
 	// reverse topological order and scatter the arcs to the heads'
 	// predecessor lists.
+	var children []int32
 	for i := len(e.order) - 1; i >= 0; i-- {
 		v := e.order[i]
-		var children []int32
-		if _, err := e.probeRel(v, func(c int32) bool {
-			children = append(children, c)
-			return true
-		}); err != nil {
+		var err error
+		if children, err = e.children(v, children[:0]); err != nil {
 			return nil, err
 		}
 		for _, c := range children {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"tcstudy/internal/bitset"
@@ -9,12 +10,14 @@ import (
 
 // Schmitz's algorithm ([23] in the paper; one of the graph-based
 // algorithms Ioannidis et al. [12] compared BTC against): a single Tarjan
-// depth-first search computes strongly connected components and closes
-// them as they pop, so cyclic graphs are handled natively — no separate
-// condensation pass. Components pop in reverse topological order of the
-// condensation, so each popped component can union the *complete* closed
-// successor sets of its external children, with the marking optimization
-// applying at the component level.
+// depth-first search — the restructuring walk every list algorithm runs
+// (restructure.go), here with its components kept — finds the strongly
+// connected components, and they are closed in the order they popped, so
+// cyclic graphs are handled natively — no separate condensation pass.
+// Components pop in reverse topological order of the condensation, so each
+// popped component can union the *complete* closed successor sets of its
+// external children, with the marking optimization applying at the
+// component level.
 //
 // One successor list is kept per component, holding the component's
 // closed successor set S'(C): every node reachable from C's members,
@@ -29,146 +32,35 @@ import (
 func (e *engine) runSchmitz() error {
 	n := e.db.n
 
-	// ---- Phase 1 (restructuring): Tarjan DFS over relation probes ------
+	// ---- Phase 1 (restructuring): the engine's walk, components kept ----
 	var (
-		adj     = make([][]int32, n+1)
-		index   = make([]int32, n+1) // 0 = unvisited
-		lowlink = make([]int32, n+1)
-		onStack = make([]bool, n+1)
-		comp    = make([]int32, n+1)
-		cyclic  []bool // per component: more than one member or self-loop
-		members [][]int32
-		tstack  []int32
-		next    int32 = 1
+		adj     [][]int32
+		comp    = make([]int32, n+1) // node -> index into members
+		members [][]int32            // in pop (reverse topological) order
+		cyclic  []bool               // per component: more than one member or self-loop
 	)
-	e.isSource = make([]bool, n+1)
-	for _, s := range e.q.Sources {
-		e.isSource[s] = true
-	}
-
-	var popOrder []int32 // component ids in pop (reverse topological) order
-
 	if err := e.timedPhase(true, func() error {
-		probe := func(v int32) error {
-			var children []int32
-			_, err := e.probeRel(v, func(c int32) bool {
-				children = append(children, c)
-				return true
-			})
-			adj[v] = children
-			return err
-		}
-		type frame struct {
-			node  int32
-			child int
-		}
-		var stack []frame
-		visit := func(root int32) error {
-			if index[root] != 0 {
-				return nil
+		var finish []int32
+		var err error
+		adj, finish, err = e.walk(func(ms []int32, cyc bool) {
+			for _, w := range ms {
+				comp[w] = int32(len(members))
 			}
-			index[root], lowlink[root] = next, next
-			next++
-			if err := probe(root); err != nil {
-				return err
-			}
-			tstack = append(tstack, root)
-			onStack[root] = true
-			stack = append(stack, frame{node: root})
-			for len(stack) > 0 {
-				f := &stack[len(stack)-1]
-				v := f.node
-				if f.child < len(adj[v]) {
-					c := adj[v][f.child]
-					f.child++
-					if index[c] == 0 {
-						index[c], lowlink[c] = next, next
-						next++
-						if err := probe(c); err != nil {
-							return err
-						}
-						tstack = append(tstack, c)
-						onStack[c] = true
-						stack = append(stack, frame{node: c})
-					} else if onStack[c] && index[c] < lowlink[v] {
-						lowlink[v] = index[c]
-					}
-					continue
-				}
-				if lowlink[v] == index[v] {
-					// Pop a complete component.
-					id := int32(len(members))
-					var ms []int32
-					for {
-						w := tstack[len(tstack)-1]
-						tstack = tstack[:len(tstack)-1]
-						onStack[w] = false
-						comp[w] = id
-						ms = append(ms, w)
-						if w == v {
-							break
-						}
-					}
-					selfLoop := false
-					if len(ms) == 1 {
-						for _, c := range adj[ms[0]] {
-							if c == ms[0] {
-								selfLoop = true
-							}
-						}
-					}
-					members = append(members, ms)
-					cyclic = append(cyclic, len(ms) > 1 || selfLoop)
-					popOrder = append(popOrder, id)
-				}
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					p := stack[len(stack)-1].node
-					if lowlink[v] < lowlink[p] {
-						lowlink[p] = lowlink[v]
-					}
-				}
-			}
-			return nil
-		}
-		var roots []int32
-		if e.q.IsFull() {
-			roots = make([]int32, n)
-			for i := range roots {
-				roots[i] = int32(i + 1)
-			}
-		} else {
-			roots = e.q.Sources
-		}
-		for _, r := range roots {
-			if err := visit(r); err != nil {
-				return err
-			}
-		}
-		e.met.MagicNodes = 0
-		for _, ms := range members {
-			e.met.MagicNodes += int64(len(ms))
-		}
-		return nil
+			members = append(members, slices.Clone(ms))
+			cyclic = append(cyclic, cyc)
+		})
+		e.met.MagicNodes = int64(len(finish))
+		return err
 	}); err != nil {
 		return err
 	}
 
 	// ---- Phase 2 (computation): close components in pop order ----------
-	store := slist.NewStore(e.pool, "component-lists", len(members)+1, e.listPolicy)
-	if e.cfg.DisableClustering {
-		store.SetClustering(false)
-	}
+	store := e.newStore("component-lists", len(members)+1)
 	e.store = store
 
 	// The answer for node x is its component's list.
-	nodes := e.q.Sources
-	if e.q.IsFull() {
-		nodes = nil
-		for _, ms := range members {
-			nodes = append(nodes, ms...)
-		}
-	}
+	nodes := e.sources()
 	lists := make([]int32, len(nodes))
 	for i, x := range nodes {
 		lists[i] = comp[x]
@@ -180,7 +72,8 @@ func (e *engine) runSchmitz() error {
 		marked := bitset.New(n + 1)
 		var appendBuf []int32
 
-		for _, id := range popOrder {
+		for i, ms := range members {
+			id := int32(i)
 			member.Clear()
 			childSet.Clear()
 			marked.Clear()
@@ -194,7 +87,7 @@ func (e *engine) runSchmitz() error {
 			}
 			// A cyclic component's members reach themselves.
 			if cyclic[id] {
-				for _, m := range members[id] {
+				for _, m := range ms {
 					e.met.TuplesGenerated++
 					add(m)
 				}
@@ -204,7 +97,7 @@ func (e *engine) runSchmitz() error {
 			// marking mirrors BTC's topological child order.
 			var external []int32
 			seen := bitset.New(n + 1)
-			for _, m := range members[id] {
+			for _, m := range ms {
 				for _, c := range adj[m] {
 					if comp[c] == id {
 						continue // internal arc
@@ -253,7 +146,7 @@ func (e *engine) runSchmitz() error {
 			if err := store.AppendAll(id, appendBuf); err != nil {
 				return err
 			}
-			e.met.DistinctTuples += int64(len(appendBuf)) * int64(len(members[id]))
+			e.met.DistinctTuples += int64(len(appendBuf)) * int64(len(ms))
 		}
 
 		return e.writeOut(store, lists, func(id int32) int64 { return int64(store.Len(id)) })

@@ -4,7 +4,6 @@ import (
 	"tcstudy/internal/bitset"
 	"tcstudy/internal/buffer"
 	"tcstudy/internal/obsv"
-	"tcstudy/internal/slist"
 )
 
 // runSRCH executes the Search algorithm (Section 3.4): each source node is
@@ -18,11 +17,7 @@ import (
 // buffer statistics so its hit ratio is comparable.
 func (e *engine) runSRCH() error {
 	n := e.db.n
-	e.store = slist.NewStore(e.pool, "source-lists", n+1, e.listPolicy)
-	if e.cfg.DisableClustering {
-		e.store.SetClustering(false)
-	}
-	e.answer = make(map[int32][]int32)
+	e.store = e.newStore("source-lists", n+1)
 
 	srcs := e.sources() // every node when a full closure is requested
 	err := e.timedPhase(false, func() error {
@@ -49,11 +44,8 @@ func (e *engine) runSRCH() error {
 				// Union S_s with the immediate successor list of y, read
 				// from the relation through the clustered index.
 				e.met.ListUnions++
-				childBuf = childBuf[:0]
-				if _, err := e.probeRel(y, func(c int32) bool {
-					childBuf = append(childBuf, c)
-					return true
-				}); err != nil {
+				var err error
+				if childBuf, err = e.children(y, childBuf[:0]); err != nil {
 					return err
 				}
 				exp := childBuf[:0]
@@ -100,12 +92,5 @@ func (e *engine) runSRCH() error {
 	if err != nil {
 		return err
 	}
-	for _, s := range srcs {
-		vals, err := e.store.ReadAll(s)
-		if err != nil {
-			return err
-		}
-		e.answer[s] = vals
-	}
-	return nil
+	return e.collectAnswer(e.store, srcs, srcs)
 }

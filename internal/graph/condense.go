@@ -61,79 +61,6 @@ type Condensation struct {
 	Members [][]int32
 }
 
-// tarjanComponents is the iterative Tarjan SCC core under SCC: node v's
-// successors are flat[off[v]:off[v+1]]; comp[v] is v's component, numbered
-// 1..nComp in reverse topological discovery order (for an arc u→v across
-// components, comp[v] < comp[u]).
-func tarjanComponents(n int, off, flat []int32) (comp []int32, nComp int32) {
-	index := make([]int32, n+1) // 0 = unvisited; else discovery index+1
-	lowlink := make([]int32, n+1)
-	onStack := make([]bool, n+1)
-	comp = make([]int32, n+1)
-	var tarjanStack []int32
-	var next int32 = 1
-
-	type frame struct {
-		node  int32
-		child int
-	}
-	var stack []frame
-
-	visit := func(root int32) {
-		index[root] = next
-		lowlink[root] = next
-		next++
-		tarjanStack = append(tarjanStack, root)
-		onStack[root] = true
-		stack = append(stack, frame{node: root})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			v := f.node
-			if ch := flat[off[v]:off[v+1]]; f.child < len(ch) {
-				c := ch[f.child]
-				f.child++
-				if index[c] == 0 {
-					index[c] = next
-					lowlink[c] = next
-					next++
-					tarjanStack = append(tarjanStack, c)
-					onStack[c] = true
-					stack = append(stack, frame{node: c})
-				} else if onStack[c] && index[c] < lowlink[v] {
-					lowlink[v] = index[c]
-				}
-				continue
-			}
-			// Post-visit: pop a complete component if v is a root.
-			if lowlink[v] == index[v] {
-				nComp++
-				for {
-					w := tarjanStack[len(tarjanStack)-1]
-					tarjanStack = tarjanStack[:len(tarjanStack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					if w == v {
-						break
-					}
-				}
-			}
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := stack[len(stack)-1].node
-				if lowlink[v] < lowlink[p] {
-					lowlink[p] = lowlink[v]
-				}
-			}
-		}
-	}
-	for v := int32(1); v <= int32(n); v++ {
-		if index[v] == 0 {
-			visit(v)
-		}
-	}
-	return comp, nComp
-}
-
 // SCC computes the strongly connected components over nodes 1..n directly
 // from an arc list, without materializing a Graph (no per-node sorting or
 // deduplication — duplicate arcs and self-arcs are harmless). Arcs
@@ -156,20 +83,16 @@ func SCC(n int, arcs []Arc) Components {
 		flat[off[a.From]+cur[a.From]] = a.To
 		cur[a.From]++
 	}
-	comp, k := tarjanComponents(n, off, flat)
-	size := make([]int32, k+1)
-	for v := 1; v <= n; v++ {
-		size[comp[v]]++
-	}
-	cyclic := make([]bool, k+1)
-	for c := range cyclic {
-		cyclic[c] = size[c] > 1
-	}
-	for _, a := range arcs {
-		if a.From == a.To {
-			cyclic[comp[a.From]] = true
-		}
-	}
+	comp := make([]int32, n+1)
+	cyclic := []bool{false} // index 0 unused
+	Walk(n, allNodes(n),
+		func(v int32) ([]int32, error) { return flat[off[v]:off[v+1]], nil },
+		func(members []int32, cyc bool) {
+			for _, w := range members {
+				comp[w] = int32(len(cyclic))
+			}
+			cyclic = append(cyclic, cyc)
+		})
 	return Components{Component: comp, Cyclic: cyclic}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,53 +142,22 @@ func (e ErrCyclic) Error() string {
 }
 
 // TopoSort returns the nodes in a topological order (every arc goes from an
-// earlier to a later position). It fails with ErrCyclic on cyclic graphs.
-// The order is the reverse DFS postorder, the order the restructuring phase
-// produces (Section 4).
+// earlier to a later position). It fails with ErrCyclic, naming a node that
+// lies on a cycle, on cyclic graphs. The order is the reverse DFS postorder,
+// the order the restructuring phase produces (Section 4).
 func (g *Graph) TopoSort() ([]int32, error) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]uint8, g.n+1)
-	order := make([]int32, 0, g.n)
-	// Iterative DFS with an explicit stack of (node, child index) frames so
-	// deep graphs (height up to n) cannot overflow the goroutine stack.
-	type frame struct {
-		node int32
-		next int
-	}
-	var stack []frame
-	for s := int32(1); s <= int32(g.n); s++ {
-		if color[s] != white {
-			continue
-		}
-		color[s] = gray
-		stack = append(stack, frame{node: s})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.node]) {
-				c := g.adj[f.node][f.next]
-				f.next++
-				switch color[c] {
-				case white:
-					color[c] = gray
-					stack = append(stack, frame{node: c})
-				case gray:
-					return nil, ErrCyclic{Node: c}
-				}
-				continue
+	var onCycle int32
+	order, _ := Walk(g.n, allNodes(g.n),
+		func(v int32) ([]int32, error) { return g.adj[v], nil },
+		func(members []int32, cyclic bool) {
+			if cyclic && onCycle == 0 {
+				onCycle = members[0]
 			}
-			color[f.node] = black
-			order = append(order, f.node)
-			stack = stack[:len(stack)-1]
-		}
+		})
+	if onCycle != 0 {
+		return nil, ErrCyclic{Node: onCycle}
 	}
-	// order is postorder (descendants first); reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order)
 	return order, nil
 }
 
@@ -284,35 +254,6 @@ func (g *Graph) Reduction() (*Graph, func(Arc) bool, error) {
 		}
 	}
 	return New(g.n, arcs), redundant, nil
-}
-
-// MagicGraph returns the subgraph of nodes and arcs reachable from the
-// source set (the "magic" subgraph identified in the restructuring phase
-// for selection queries, Section 4), as a graph over the same node space.
-func (g *Graph) MagicGraph(sources []int32) *Graph {
-	reach := bitset.New(g.n + 1)
-	var stack []int32
-	for _, s := range sources {
-		if !reach.TestAndAdd(s) {
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range g.adj[v] {
-			if !reach.TestAndAdd(c) {
-				stack = append(stack, c)
-			}
-		}
-	}
-	var arcs []Arc
-	reach.ForEach(func(v int32) {
-		for _, c := range g.adj[v] {
-			arcs = append(arcs, Arc{v, c})
-		}
-	})
-	return New(g.n, arcs)
 }
 
 // Reachable reports the nodes reachable from the sources (excluding the

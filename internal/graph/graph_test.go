@@ -298,20 +298,6 @@ func TestClosureOfReductionEqualsClosure(t *testing.T) {
 	}
 }
 
-func TestMagicGraph(t *testing.T) {
-	g := paperGraph()
-	// From source b=2 only e=4 is reachable.
-	m := g.MagicGraph([]int32{2})
-	if m.NumArcs() != 1 {
-		t.Fatalf("magic graph of {b} has %d arcs, want 1", m.NumArcs())
-	}
-	// From {a,b,e} everything except nothing... a reaches d,f,g,j,k,l,m.
-	m2 := g.MagicGraph([]int32{1, 2, 4})
-	if m2.NumArcs() != g.NumArcs() {
-		t.Fatalf("magic graph of {a,b,e} has %d arcs, want %d", m2.NumArcs(), g.NumArcs())
-	}
-}
-
 func TestReachable(t *testing.T) {
 	g := paperGraph()
 	r := g.Reachable([]int32{3}) // d reaches f,g,j,k,l,m
@@ -523,49 +509,6 @@ func TestLevelsMatchBruteForceLongestPath(t *testing.T) {
 		}
 		for v := int32(1); v <= int32(n); v++ {
 			if lv[v] != longest(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMagicGraphIsReachabilityClosedSubgraph: the magic graph contains
-// exactly the arcs whose tails are reachable (or are sources).
-func TestMagicGraphProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(40) + 3
-		var arcs []Arc
-		for i := 1; i < n; i++ {
-			for j := i + 1; j <= n; j++ {
-				if rng.Intn(4) == 0 {
-					arcs = append(arcs, Arc{int32(i), int32(j)})
-				}
-			}
-		}
-		g := New(n, arcs)
-		sources := []int32{int32(rng.Intn(n) + 1), int32(rng.Intn(n) + 1)}
-		m := g.MagicGraph(sources)
-		inMagic := map[int32]bool{}
-		for _, s := range sources {
-			inMagic[s] = true
-		}
-		g.Reachable(sources).ForEach(func(v int32) { inMagic[v] = true })
-		// Every magic arc's tail is a source or reachable; every arc of a
-		// magic node is in the magic graph.
-		magicArcs := map[Arc]bool{}
-		for _, a := range m.Arcs() {
-			magicArcs[a] = true
-			if !inMagic[a.From] {
-				return false
-			}
-		}
-		for _, a := range g.Arcs() {
-			if inMagic[a.From] && !magicArcs[a] {
 				return false
 			}
 		}
