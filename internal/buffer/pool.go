@@ -69,7 +69,6 @@ func (s Stats) Sub(t Stats) Stats {
 // The pool is not safe for concurrent use.
 type Pool struct {
 	disk   pagedisk.Store
-	viewer pagedisk.ReadOnlyViewer // non-nil when disk supports zero-copy views
 	frames []frame
 	table  map[key]int
 	policy Policy
@@ -77,18 +76,15 @@ type Pool struct {
 }
 
 // New creates a pool of size frames over disk using the given replacement
-// policy. Size must be at least 1. If disk implements
-// pagedisk.ReadOnlyViewer, misses on sealed files fill frames with
-// zero-copy views instead of page copies; the accounting (hits, misses,
-// reads) is identical either way.
+// policy. Size must be at least 1. Misses on sealed files fill frames with
+// zero-copy views (Store.View) instead of page copies; the accounting
+// (hits, misses, reads) is identical either way.
 func New(disk pagedisk.Store, size int, policy Policy) *Pool {
 	if size < 1 {
 		panic("buffer: pool size must be at least 1")
 	}
-	viewer, _ := disk.(pagedisk.ReadOnlyViewer)
 	return &Pool{
 		disk:   disk,
-		viewer: viewer,
 		frames: make([]frame, size),
 		table:  make(map[key]int, size),
 		policy: policy,
@@ -198,11 +194,11 @@ func (p *Pool) Get(f pagedisk.FileID, pg pagedisk.PageID) (Handle, error) {
 		return Handle{}, err
 	}
 	fr := &p.frames[i]
-	if p.viewer != nil && p.viewer.Sealed(f) {
+	if p.disk.Sealed(f) {
 		// Sealed files are immutable: the frame holds a view into the
 		// shared storage instead of a private copy. A view is charged as
 		// one read, so the cost model is unchanged.
-		v, err := p.viewer.View(f, pg)
+		v, err := p.disk.View(f, pg)
 		if err != nil {
 			return Handle{}, err
 		}

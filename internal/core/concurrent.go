@@ -36,12 +36,9 @@ type Response struct {
 // tempTracker wraps the database's store and records every file created
 // through it, so the query that owns the tracker can release exactly its
 // own temporary files the moment it finishes — file IDs from concurrent
-// queries interleave, so a range sweep cannot attribute them.
-//
-// The embedded Store only promotes pagedisk.Store's method set; Sealed and
-// View are forwarded explicitly below, because losing them would silently
-// turn the zero-copy read path back into per-Get page copies for every
-// tracked query.
+// queries interleave, so a range sweep cannot attribute them. Everything
+// else, the zero-copy Sealed/View read path included, is the embedded
+// store's.
 type tempTracker struct {
 	pagedisk.Store
 	owned []pagedisk.FileID
@@ -55,19 +52,6 @@ func (t *tempTracker) CreateFile(name string) pagedisk.FileID {
 	t.owned = append(t.owned, id)
 	return id
 }
-
-// Sealed reports whether the wrapped store exposes f as sealed.
-func (t *tempTracker) Sealed(f pagedisk.FileID) bool {
-	v, ok := t.Store.(pagedisk.ReadOnlyViewer)
-	return ok && v.Sealed(f)
-}
-
-// View delegates to the wrapped store's zero-copy read path.
-func (t *tempTracker) View(f pagedisk.FileID, p pagedisk.PageID) (*pagedisk.Page, error) {
-	return t.Store.(pagedisk.ReadOnlyViewer).View(f, p)
-}
-
-var _ pagedisk.ReadOnlyViewer = (*tempTracker)(nil)
 
 // release truncates every file the tracker's query created. Storage is
 // reclaimed immediately; the (now empty) catalog entries remain, as the

@@ -304,29 +304,19 @@ func (s *Store) Allocate(f pagedisk.FileID) (pagedisk.PageID, error) {
 	return s.inner.Allocate(f)
 }
 
-// Sealed reports whether the inner store exposes f as sealed. A wrapped
-// store only supports zero-copy views when its inner store does.
-func (s *Store) Sealed(f pagedisk.FileID) bool {
-	v, ok := s.inner.(pagedisk.ReadOnlyViewer)
-	return ok && v.Sealed(f)
-}
+// Sealed delegates to the inner store.
+func (s *Store) Sealed(f pagedisk.FileID) bool { return s.inner.Sealed(f) }
 
 // View charges and injects exactly like Read — a view replaces a Read
 // one-for-one at the same call site, so scripted "read@N" failpoints and
 // read sequence numbers are unchanged by the zero-copy path — then
-// delegates to the inner viewer.
+// delegates to the inner store.
 func (s *Store) View(f pagedisk.FileID, p pagedisk.PageID) (*pagedisk.Page, error) {
-	v, ok := s.inner.(pagedisk.ReadOnlyViewer)
-	if !ok {
-		return nil, fmt.Errorf("faultdisk: inner store %T does not support views", s.inner)
-	}
 	if err := s.before(OpRead, s.opts.ReadFailProb, s.opts.ReadLatency); err != nil {
 		return nil, err
 	}
-	return v.View(f, p)
+	return s.inner.View(f, p)
 }
-
-var _ pagedisk.ReadOnlyViewer = (*Store)(nil)
 
 // sortFaults orders a schedule for stable printing (helper for harnesses
 // that accumulate failpoints out of order).

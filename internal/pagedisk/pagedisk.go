@@ -105,19 +105,17 @@ type Store interface {
 	Stats() Stats
 	// ResetStats zeroes the I/O counters.
 	ResetStats()
-}
 
-// ReadOnlyViewer is the optional zero-copy capability of a Store: pages of
-// a sealed (immutable) file can be handed out as stable pointers into the
-// shared storage instead of being copied on every read. The buffer pool
-// type-asserts for it and, when present, pins sealed pages without a copy.
-//
-// The contract: View is valid only for files on which Sealed reports true,
-// the returned page must never be written through, and the pointer stays
-// valid for the life of the store (a sealed file is never truncated,
-// extended or mutated). A View counts as one page read, exactly like Read,
-// so cost accounting is unchanged by the zero-copy path.
-type ReadOnlyViewer interface {
+	// Sealed and View are the zero-copy read path: pages of a sealed
+	// (immutable) file are handed out as stable pointers into the shared
+	// storage instead of being copied on every read, and the buffer pool
+	// pins them without a copy. View is valid only for files on which
+	// Sealed reports true, the returned page must never be written through,
+	// and the pointer stays valid for the life of the store (a sealed file
+	// is never truncated, extended or mutated). A View counts as one page
+	// read, exactly like Read, so cost accounting is unchanged by the
+	// zero-copy path. A wrapper forwards both to the store it wraps.
+
 	// Sealed reports whether file f is sealed (immutable).
 	Sealed(f FileID) bool
 	// View returns a stable read-only pointer to page p of sealed file f,
@@ -175,7 +173,6 @@ type Disk struct {
 }
 
 var _ Store = (*Disk)(nil)
-var _ ReadOnlyViewer = (*Disk)(nil)
 
 // New returns an empty disk.
 func New() *Disk {
@@ -361,7 +358,7 @@ func (d *Disk) Read(f FileID, p PageID, dst *Page) error {
 
 // View returns a stable zero-copy pointer to page p of sealed file f,
 // counting one page read (the cost model is indifferent to whether the
-// transfer copied). It implements ReadOnlyViewer; callers must not write
+// transfer copied). Callers must not write
 // through the returned page.
 func (d *Disk) View(f FileID, p PageID) (*Page, error) {
 	fl, err := d.lookup(f)
