@@ -13,6 +13,7 @@ import (
 	"tcstudy"
 	"tcstudy/internal/api"
 	"tcstudy/internal/core"
+	"tcstudy/internal/graph"
 	"tcstudy/internal/server"
 )
 
@@ -167,6 +168,28 @@ func TestCyclicInputEveryEntry(t *testing.T) {
 				}
 			}
 		}
+		// SCHMITZ keeps the components of the engine's walk over relation
+		// probes; graph.SCC runs the same walk over the arc list. The
+		// answers must imply exactly its partition: two nodes share a
+		// component iff each reaches the other, and a node reaches itself
+		// iff its component is cyclic.
+		res, err := core.Run(db, core.SCHMITZ, core.Query{}, c.config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		scc := graph.SCC(c.Nodes, g.Arcs())
+		for u := int32(1); u <= int32(c.Nodes); u++ {
+			if got, want := slices.Contains(res.Successors[u], u), scc.Cyclic[scc.Component[u]]; got != want {
+				t.Errorf("case {%s}: SCHMITZ says %d reaches itself: %t; its component is cyclic: %t", c, u, got, want)
+			}
+			for v := u + 1; v <= int32(c.Nodes); v++ {
+				mutual := slices.Contains(res.Successors[u], v) && slices.Contains(res.Successors[v], u)
+				if same := scc.Component[u] == scc.Component[v]; mutual != same {
+					t.Errorf("case {%s}: SCHMITZ has %d and %d mutually reachable: %t; graph.SCC has them in one component: %t", c, u, v, mutual, same)
+				}
+			}
+		}
+
 		// The planner's rectangle model needs a DAG: the same client error.
 		if code := serve(t, srv, "GET", "/v1/plan?sources=1", nil, &api.PlanResponse{}); code != http.StatusBadRequest {
 			t.Errorf("case {%s}: /v1/plan on a cyclic tenant: status %d, want 400", c, code)

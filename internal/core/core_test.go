@@ -479,3 +479,30 @@ func TestChargeIndexIOAblation(t *testing.T) {
 	}
 	checkAnswer(t, BTC, full.Successors, wantFull, true, g)
 }
+
+// TestDeepPathNoOverflow: the restructuring walk is iterative, so a path
+// as long as the engine's node space (successor-list ids are 16 bits on the
+// page, so 65535 nodes; graph.Walk itself is tested at 200k) is walked like
+// any other graph, through the list-closure driver and through Schmitz. The
+// closure of a path is quadratic in its length, so the query starts 5000
+// nodes from the tail: the walk's arrays span the whole path, its depth is
+// what the engine can expand in a test's time.
+func TestDeepPathNoOverflow(t *testing.T) {
+	const n, depth = 0xFFFF, 5000
+	arcs := make([]graph.Arc, 0, n-1)
+	for i := int32(1); i < n; i++ {
+		arcs = append(arcs, graph.Arc{From: i, To: i + 1})
+	}
+	db := NewDatabase(n, arcs)
+	src := int32(n - depth)
+	for _, alg := range []Algorithm{BTC, SCHMITZ} {
+		res, err := Run(db, alg, Query{Sources: []int32{src}}, Config{BufferPages: 10})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if got := res.Successors[src]; len(got) != depth || res.Metrics.MagicNodes != depth+1 {
+			t.Errorf("%s: %d successors over a magic graph of %d nodes, want %d and %d",
+				alg, len(got), res.Metrics.MagicNodes, depth, depth+1)
+		}
+	}
+}

@@ -66,19 +66,35 @@ func TestTopoSort(t *testing.T) {
 	}
 }
 
+// TestTopoSortCyclic: whatever closes the cycle and wherever it sits, the
+// node ErrCyclic names lies on one.
 func TestTopoSortCyclic(t *testing.T) {
-	g := New(3, []Arc{{1, 2}, {2, 3}, {3, 1}})
-	_, err := g.TopoSort()
-	var ce ErrCyclic
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want ErrCyclic", err)
+	for _, tc := range []struct {
+		name string
+		arcs []Arc
+	}{
+		{"a back arc", []Arc{{1, 2}, {2, 3}, {3, 1}}},
+		{"a self-arc", []Arc{{1, 2}, {2, 3}, {3, 3}}},
+		{"a cycle not reachable from node 1", []Arc{{1, 2}, {4, 5}, {5, 6}, {6, 4}, {3, 4}}},
+	} {
+		g := New(6, tc.arcs)
+		_, err := g.TopoSort()
+		var ce ErrCyclic
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want ErrCyclic", tc.name, err)
+		}
+		if !g.Reachable([]int32{ce.Node}).Has(ce.Node) {
+			t.Errorf("%s: ErrCyclic names node %d, which does not reach itself", tc.name, ce.Node)
+		}
 	}
 }
 
+// TestTopoSortDeepGraphNoOverflow: a 200k-node chain, which would overflow a
+// recursive DFS, through everything that walks — open, and closed into one
+// 200k-node component.
 func TestTopoSortDeepGraphNoOverflow(t *testing.T) {
-	// A 200k-node chain would overflow a recursive DFS.
 	n := 200000
-	arcs := make([]Arc, 0, n-1)
+	arcs := make([]Arc, 0, n)
 	for i := 1; i < n; i++ {
 		arcs = append(arcs, Arc{int32(i), int32(i + 1)})
 	}
@@ -92,6 +108,16 @@ func TestTopoSortDeepGraphNoOverflow(t *testing.T) {
 	}
 	if lv[1] != int32(n) {
 		t.Fatalf("level(head of chain) = %d, want %d", lv[1], n)
+	}
+	if scc := SCC(n, arcs); scc.K() != n || scc.Component[1] != int32(n) || slices.Contains(scc.Cyclic, true) {
+		t.Fatalf("SCC of the chain: %d components, head in %d, want %d singletons in reverse order", scc.K(), scc.Component[1], n)
+	}
+	arcs = append(arcs, Arc{int32(n), 1})
+	if scc := SCC(n, arcs); scc.K() != 1 || !scc.Cyclic[1] {
+		t.Fatalf("SCC of the closed chain: %d components, want one cyclic", scc.K())
+	}
+	if c := New(n, arcs).Condense(); c.DAG.N() != 1 || len(c.Members[1]) != n {
+		t.Fatalf("condensation of the closed chain: %d components", c.DAG.N())
 	}
 }
 

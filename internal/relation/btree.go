@@ -144,51 +144,9 @@ func (bt *BTree) lookupLeaf(pool *buffer.Pool, key int32) (int, error) {
 // ProbeIndexed is Probe with the clustered index's interior pages charged:
 // the descent reads index pages through the pool before the leaf scan.
 func (r *Relation) ProbeIndexed(pool *buffer.Pool, bt *BTree, key int32, fn func(val int32) bool) (int, error) {
-	if r.numPages == 0 {
-		return 0, nil
-	}
 	start, err := bt.lookupLeaf(pool, key)
 	if err != nil {
 		return 0, err
 	}
-	visited := 0
-	for p := start; p < r.numPages; p++ {
-		// The separator descent can land one page early when the key
-		// falls between pages; skip forward, and stop past the key range.
-		if r.lastKey[p] < key {
-			continue
-		}
-		if r.firstKey[p] > key {
-			break
-		}
-		h, err := pool.Get(r.file, pagedisk.PageID(p))
-		if err != nil {
-			return visited, err
-		}
-		data := h.Data()
-		n := int(r.count[p])
-		i := 0
-		for ; i < n; i++ {
-			if decode(data, i).Key >= key {
-				break
-			}
-		}
-		stop := false
-		for ; i < n; i++ {
-			t := decode(data, i)
-			if t.Key != key {
-				break
-			}
-			visited++
-			if !fn(t.Val) {
-				stop = true
-				break
-			}
-		}
-		pool.Unpin(&h, false)
-		if stop {
-			break
-		}
-	}
-	return visited, nil
+	return r.probeFrom(pool, start, key, nil, func(val, _ int32) bool { return fn(val) })
 }

@@ -66,52 +66,48 @@ func Build(disk pagedisk.Store, name string, tuples []Tuple) *Relation {
 	ts = dedup
 
 	r := &Relation{file: disk.CreateFile(name), nTuples: len(ts)}
-	var pg pagedisk.Page
-	n := 0
-	written := int32(0)
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		id, err := disk.Allocate(r.file)
-		if err == nil {
-			err = disk.Write(r.file, id, &pg)
-		}
-		if err != nil {
-			// The in-memory disk only fails under injection, which is not
-			// armed during setup.
-			panic(fmt.Sprintf("relation: build write failed: %v", err))
-		}
-		r.count = append(r.count, uint16(n))
-		r.pageStart = append(r.pageStart, written)
-		written += int32(n)
-		r.numPages++
-		pg = pagedisk.Page{}
-		n = 0
+	for lo := 0; lo < len(ts); lo += TuplesPerPage {
+		hi := min(lo+TuplesPerPage, len(ts))
+		r.count = append(r.count, uint16(hi-lo))
+		r.pageStart = append(r.pageStart, int32(lo))
+		r.firstKey = append(r.firstKey, ts[lo].Key)
+		r.lastKey = append(r.lastKey, ts[hi-1].Key)
 	}
+	r.numPages = len(r.count)
 	for _, t := range ts {
-		if t.Key > r.maxNode {
-			r.maxNode = t.Key
+		r.maxNode = max(r.maxNode, t.Key, t.Val)
+	}
+	err := writePacked(disk, r.file, len(ts), TuplesPerPage, func(pg *pagedisk.Page, slot, i int) {
+		binary.LittleEndian.PutUint32(pg[slot*8:], uint32(ts[i].Key))
+		binary.LittleEndian.PutUint32(pg[slot*8+4:], uint32(ts[i].Val))
+	})
+	if err != nil {
+		// The in-memory disk only fails under injection, which is not
+		// armed during setup.
+		panic(fmt.Sprintf("relation: build write failed: %v", err))
+	}
+	return r
+}
+
+// writePacked appends count fixed-size records to file f, perPage to a
+// page, the last page zero-padded: put encodes record i into its slot of
+// the page under construction. It is the packing loop of every bulk build
+// (tuples, weight columns); like them it bypasses the buffer pool.
+func writePacked(disk pagedisk.Store, f pagedisk.FileID, count, perPage int, put func(pg *pagedisk.Page, slot, i int)) error {
+	for lo := 0; lo < count; lo += perPage {
+		var pg pagedisk.Page
+		for i := lo; i < min(lo+perPage, count); i++ {
+			put(&pg, i-lo, i)
 		}
-		if t.Val > r.maxNode {
-			r.maxNode = t.Val
+		id, err := disk.Allocate(f)
+		if err != nil {
+			return err
 		}
-		if n == 0 {
-			r.firstKey = append(r.firstKey, t.Key)
-			r.lastKey = append(r.lastKey, t.Key)
-		} else {
-			r.lastKey[len(r.lastKey)-1] = t.Key
-		}
-		off := n * 8
-		binary.LittleEndian.PutUint32(pg[off:], uint32(t.Key))
-		binary.LittleEndian.PutUint32(pg[off+4:], uint32(t.Val))
-		n++
-		if n == TuplesPerPage {
-			flush()
+		if err := disk.Write(f, id, &pg); err != nil {
+			return err
 		}
 	}
-	flush()
-	return r
+	return nil
 }
 
 // BuildInverse builds the dual representation: the same arcs with key and
@@ -180,10 +176,20 @@ func (r *Relation) firstPageFor(key int32) int {
 // graph node by node; because the relation is clustered, a probe touches
 // one page in the common case. It returns the values visited count.
 func (r *Relation) Probe(pool *buffer.Pool, key int32, fn func(val int32) bool) (int, error) {
+	return r.probeFrom(pool, r.firstPageFor(key), key, nil, func(val, _ int32) bool { return fn(val) })
+}
+
+// probeFrom is the one page walk under Probe, ProbeIndexed and
+// ProbeWeighted: from page start — the first that may hold key, or one an
+// index descent landed on just before it — it visits every tuple whose Key
+// equals key, reading the tuple's weight from col when there is one, until
+// fn returns false.
+func (r *Relation) probeFrom(pool *buffer.Pool, start int, key int32, col *WeightColumn, fn func(val, weight int32) bool) (int, error) {
 	visited := 0
-	for p := r.firstPageFor(key); p < r.numPages; p++ {
-		if r.firstKey[p] > key {
-			break
+	more := true
+	for p := start; more && p < r.numPages && r.firstKey[p] <= key; p++ {
+		if r.lastKey[p] < key {
+			continue // a separator descent lands one page early when the key falls between pages
 		}
 		h, err := pool.Get(r.file, pagedisk.PageID(p))
 		if err != nil {
@@ -193,22 +199,22 @@ func (r *Relation) Probe(pool *buffer.Pool, key int32, fn func(val int32) bool) 
 		n := int(r.count[p])
 		// Binary search for the first tuple with this key on the page.
 		i := sort.Search(n, func(i int) bool { return decode(data, i).Key >= key })
-		stop := false
-		for ; i < n; i++ {
+		for ; more && i < n; i++ {
 			t := decode(data, i)
 			if t.Key != key {
 				break
 			}
-			visited++
-			if !fn(t.Val) {
-				stop = true
-				break
+			var w int32
+			if col != nil {
+				if w, err = col.weightAt(pool, r.pageStart[p]+int32(i)); err != nil {
+					pool.Unpin(&h, false)
+					return visited, err
+				}
 			}
+			visited++
+			more = fn(t.Val, w)
 		}
 		pool.Unpin(&h, false)
-		if stop {
-			break
-		}
 	}
 	return visited, nil
 }
@@ -253,17 +259,4 @@ func Restore(m Meta) *Relation {
 		nTuples:   m.NTuples,
 		maxNode:   m.MaxNode,
 	}
-}
-
-// PagesFor reports how many pages hold tuples with the given key; used by
-// cost accounting in tests.
-func (r *Relation) PagesFor(key int32) int {
-	n := 0
-	for p := r.firstPageFor(key); p < r.numPages; p++ {
-		if r.firstKey[p] > key {
-			break
-		}
-		n++
-	}
-	return n
 }

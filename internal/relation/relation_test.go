@@ -156,8 +156,8 @@ func TestProbeSpanningPages(t *testing.T) {
 	if n != 600 {
 		t.Fatalf("probe visited %d values, want 600", n)
 	}
-	if got := r.PagesFor(5); got != 3 {
-		t.Fatalf("PagesFor(5) = %d, want 3", got)
+	if got := p.Stats().Misses; got != 3 {
+		t.Fatalf("probe read %d pages, want 3", got)
 	}
 }
 

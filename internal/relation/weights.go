@@ -66,33 +66,10 @@ func BuildWeighted(disk pagedisk.Store, name string, tuples []Tuple, weights []i
 	r := Build(disk, name, ts)
 
 	col := &WeightColumn{file: disk.CreateFile(name + "-weights")}
-	var pg pagedisk.Page
-	n := 0
-	flush := func() error {
-		if n == 0 {
-			return nil
-		}
-		id, err := disk.Allocate(col.file)
-		if err != nil {
-			return err
-		}
-		if err := disk.Write(col.file, id, &pg); err != nil {
-			return err
-		}
-		pg = pagedisk.Page{}
-		n = 0
-		return nil
-	}
-	for _, x := range ws {
-		binary.LittleEndian.PutUint32(pg[n*4:], uint32(x.w))
-		n++
-		if n == WeightsPerPage {
-			if err := flush(); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
+	err := writePacked(disk, col.file, len(ws), WeightsPerPage, func(pg *pagedisk.Page, slot, i int) {
+		binary.LittleEndian.PutUint32(pg[slot*4:], uint32(ws[i].w))
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	return r, col, nil
@@ -121,39 +98,5 @@ func (c *WeightColumn) weightAt(pool *buffer.Pool, idx int32) (int32, error) {
 // ProbeWeighted reads every (Val, weight) pair for the given key: the
 // clustered tuple lookup plus the aligned column reads.
 func (r *Relation) ProbeWeighted(pool *buffer.Pool, key int32, col *WeightColumn, fn func(val, weight int32) bool) (int, error) {
-	visited := 0
-	for p := r.firstPageFor(key); p < r.numPages; p++ {
-		if r.firstKey[p] > key {
-			break
-		}
-		h, err := pool.Get(r.file, pagedisk.PageID(p))
-		if err != nil {
-			return visited, err
-		}
-		data := h.Data()
-		n := int(r.count[p])
-		i := sort.Search(n, func(i int) bool { return decode(data, i).Key >= key })
-		stop := false
-		for ; i < n; i++ {
-			t := decode(data, i)
-			if t.Key != key {
-				break
-			}
-			w, err := col.weightAt(pool, r.pageStart[p]+int32(i))
-			if err != nil {
-				pool.Unpin(&h, false)
-				return visited, err
-			}
-			visited++
-			if !fn(t.Val, w) {
-				stop = true
-				break
-			}
-		}
-		pool.Unpin(&h, false)
-		if stop {
-			break
-		}
-	}
-	return visited, nil
+	return r.probeFrom(pool, r.firstPageFor(key), key, col, fn)
 }
