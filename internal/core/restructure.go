@@ -71,8 +71,7 @@ func (e *engine) walk(pop func(members []int32, cyclic bool)) (adj [][]int32, fi
 	for _, s := range e.q.Sources {
 		e.isSource[s] = true
 	}
-	finish, err = graph.Walk(n, e.sources(), func(v int32) ([]int32, error) {
-		var err error
+	finish, err = graph.Walk(n, e.sources(), func(v int32) (_ []int32, err error) {
 		if e.needWeights {
 			_, err = e.db.rel.ProbeWeighted(e.pool, v, e.db.wcol, func(c, w int32) bool {
 				adj[v] = append(adj[v], c)

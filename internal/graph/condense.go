@@ -85,7 +85,8 @@ func SCC(n int, arcs []Arc) Components {
 	}
 	comp := make([]int32, n+1)
 	cyclic := []bool{false} // index 0 unused
-	Walk(n, allNodes(n),
+	// Children read from memory cannot fail, so neither can the walk.
+	_, _ = Walk(n, allNodes(n),
 		func(v int32) ([]int32, error) { return flat[off[v]:off[v+1]], nil },
 		func(members []int32, cyc bool) {
 			for _, w := range members {

@@ -147,6 +147,7 @@ func (e ErrCyclic) Error() string {
 // the order the restructuring phase produces (Section 4).
 func (g *Graph) TopoSort() ([]int32, error) {
 	var onCycle int32
+	// Children read from memory cannot fail, so neither can the walk.
 	order, _ := Walk(g.n, allNodes(g.n),
 		func(v int32) ([]int32, error) { return g.adj[v], nil },
 		func(members []int32, cyclic bool) {
