@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"tcstudy/internal/bitset"
@@ -198,20 +199,22 @@ func (e *engine) union(v, j int32, x *expander) error {
 	it.Reset(e.store, j)
 	if !x.tree {
 		for {
-			u, ok := it.Next()
+			blk, ok := it.NextBlock()
 			if !ok {
 				break
 			}
-			e.met.SuccessorsFetched++
-			e.met.TuplesGenerated++
-			if x.childSet.Has(u) {
-				x.marked.Add(u)
+			e.met.SuccessorsFetched += int64(len(blk))
+			e.met.TuplesGenerated += int64(len(blk))
+			for _, u := range blk {
+				if x.childSet.Has(u) {
+					x.marked.Add(u)
+				}
+				if x.member.TestAndAdd(u) {
+					e.met.Duplicates++
+					continue
+				}
+				x.appendBuf = append(x.appendBuf, u)
 			}
-			if x.member.TestAndAdd(u) {
-				e.met.Duplicates++
-				continue
-			}
-			x.appendBuf = append(x.appendBuf, u)
 		}
 	} else {
 		x.touched = x.touched[:0]
@@ -219,39 +222,41 @@ func (e *engine) union(v, j int32, x *expander) error {
 		groupOpen := false  // a group marker was emitted to appendBuf
 		var curParent int32 // parent of the group being read
 		for {
-			raw, ok := it.Next()
+			blk, ok := it.NextBlock()
 			if !ok {
 				break
 			}
-			if raw < 0 {
-				// New group. Skip it if the parent's subtree was already
-				// present before this union began (the paper's "no need to
-				// read any successors of j in S_g" saving).
-				curParent = -raw
-				skipping = x.marked.Has(curParent)
-				if !skipping {
-					x.touched = append(x.touched, curParent)
+			for _, raw := range blk {
+				if raw < 0 {
+					// New group. Skip it if the parent's subtree was already
+					// present before this union began (the paper's "no need
+					// to read any successors of j in S_g" saving).
+					curParent = -raw
+					skipping = x.marked.Has(curParent)
+					if !skipping {
+						x.touched = append(x.touched, curParent)
+					}
+					groupOpen = false
+					continue
 				}
-				groupOpen = false
-				continue
+				if skipping {
+					continue // scanned past, not fetched: no tuple I/O counted
+				}
+				e.met.SuccessorsFetched++
+				e.met.TuplesGenerated++
+				u := raw
+				x.touched = append(x.touched, u)
+				if x.member.TestAndAdd(u) {
+					e.met.Duplicates++
+					continue
+				}
+				e.posCount[v]++
+				if !groupOpen {
+					x.appendBuf = append(x.appendBuf, -curParent)
+					groupOpen = true
+				}
+				x.appendBuf = append(x.appendBuf, u)
 			}
-			if skipping {
-				continue // scanned past, not fetched: no tuple I/O counted
-			}
-			e.met.SuccessorsFetched++
-			e.met.TuplesGenerated++
-			u := raw
-			x.touched = append(x.touched, u)
-			if x.member.TestAndAdd(u) {
-				e.met.Duplicates++
-				continue
-			}
-			e.posCount[v]++
-			if !groupOpen {
-				x.appendBuf = append(x.appendBuf, -curParent)
-				groupOpen = true
-			}
-			x.appendBuf = append(x.appendBuf, u)
 		}
 	}
 	it.Close()
@@ -334,13 +339,28 @@ func (e *engine) expandBlocked(tree bool) error {
 		rev[len(e.order)-1-i] = v
 	}
 
+	// Per-batch state is dense and reused across batches: xs[i] is the
+	// expander of the batch's i-th list, requests[j] the batch positions
+	// that need off-diagonal list j.
+	var xs []*expander
+	expanderAt := func(i int) *expander {
+		for len(xs) <= i {
+			xs = append(xs, newExpander(e.db.n, tree))
+		}
+		return xs[i]
+	}
+	requests := make([][]int32, e.db.n+1)
 	inBatch := make([]bool, e.db.n+1)
+	var (
+		pins     [][]buffer.Handle // the pinned pages of each diagonal list
+		distinct []pagedisk.PageID
+		batch    []int32
+		offDiag  []int32
+	)
 	ptr := 0
 	for ptr < len(rev) {
 		// --- Form the diagonal block -----------------------------------
-		var pins [][]buffer.Handle // the pinned pages of each diagonal list
-		distinct := map[pagedisk.PageID]bool{}
-		var batch []int32
+		pins, distinct, batch = pins[:0], distinct[:0], batch[:0]
 		for ptr < len(rev) && len(distinct) < budget {
 			v := rev[ptr]
 			handles, err := e.store.PinList(v)
@@ -352,8 +372,9 @@ func (e *engine) expandBlocked(tree bool) error {
 			}
 			pins = append(pins, handles)
 			for i := range handles {
-				_, pg := handles[i].Page()
-				distinct[pg] = true
+				if _, pg := handles[i].Page(); !slices.Contains(distinct, pg) {
+					distinct = append(distinct, pg)
+				}
 			}
 			batch = append(batch, v)
 			inBatch[v] = true
@@ -362,7 +383,7 @@ func (e *engine) expandBlocked(tree bool) error {
 		if len(batch) == 0 {
 			// Not even one list could be pinned: expand the next node the
 			// plain way and move on.
-			if err := e.expandNode(rev[ptr], newExpander(e.db.n, tree)); err != nil {
+			if err := e.expandNode(rev[ptr], expanderAt(0)); err != nil {
 				return err
 			}
 			ptr++
@@ -381,57 +402,52 @@ func (e *engine) expandBlocked(tree bool) error {
 		reblock()
 
 		// --- Load each diagonal list's children ------------------------
-		exps := make(map[int32]*expander, len(batch))
-		children := make(map[int32][]int32, len(batch))
-		for _, v := range batch {
-			x := newExpander(e.db.n, tree)
-			ch, err := e.loadChildren(v, x)
-			if err != nil {
+		// loadChildren leaves them in the expander's childBuf.
+		for i, v := range batch {
+			if _, err := e.loadChildren(v, expanderAt(i)); err != nil {
 				return err
 			}
-			exps[v] = x
-			children[v] = ch
 		}
 
 		// --- Phase A: off-diagonal unions, grouped by child ------------
 		// One fetch of an off-diagonal list serves every diagonal list
 		// that needs it (Figure 2).
-		requests := map[int32][]int32{}
-		var offDiag []int32
-		for _, v := range batch {
-			for _, j := range children[v] {
+		offDiag = offDiag[:0]
+		for i := range batch {
+			for _, j := range xs[i].childBuf {
 				if inBatch[j] {
 					continue
 				}
 				if len(requests[j]) == 0 {
 					offDiag = append(offDiag, j)
 				}
-				requests[j] = append(requests[j], v)
+				requests[j] = append(requests[j], int32(i))
 			}
 		}
 		sort.Slice(offDiag, func(a, b int) bool {
 			return e.topoPos[offDiag[a]] < e.topoPos[offDiag[b]]
 		})
 		for _, j := range offDiag {
-			for _, v := range requests[j] {
-				if !e.considerArc(j, exps[v]) {
+			for _, i := range requests[j] {
+				if !e.considerArc(j, xs[i]) {
 					continue
 				}
 				reblock()
-				if err := e.union(v, j, exps[v]); err != nil {
+				if err := e.union(batch[i], j, xs[i]); err != nil {
 					return err
 				}
 			}
+			requests[j] = requests[j][:0]
 		}
 
 		// --- Phase B: diagonal-diagonal unions, reverse topological ----
-		for _, v := range batch {
-			for _, j := range children[v] {
-				if !inBatch[j] || !e.considerArc(j, exps[v]) {
+		for i, v := range batch {
+			for _, j := range xs[i].childBuf {
+				if !inBatch[j] || !e.considerArc(j, xs[i]) {
 					continue
 				}
 				reblock()
-				if err := e.union(v, j, exps[v]); err != nil {
+				if err := e.union(v, j, xs[i]); err != nil {
 					return err
 				}
 			}
@@ -473,13 +489,12 @@ func (e *engine) writeOut(store *slist.Store, lists []int32, count func(list int
 		e.met.SourceTuples = e.met.DistinctTuples
 		return e.pool.FlushFile(store.File())
 	}
-	flushed := make(map[int32]bool, len(lists))
+	flushed := bitset.New(e.db.n + 1) // list ids are node or component ids
 	for _, l := range lists {
 		e.met.SourceTuples += count(l)
-		if flushed[l] {
+		if flushed.TestAndAdd(l) {
 			continue
 		}
-		flushed[l] = true
 		if err := store.FlushList(l); err != nil {
 			return err
 		}

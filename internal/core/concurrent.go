@@ -77,13 +77,20 @@ func newTrackedPool(db *Database, cfg Config) (*tempTracker, *buffer.Pool, error
 
 // runOwned executes a validated request with a private buffer pool and a
 // private temp-file tracker, releasing the query's temporary files when it
-// returns.
-func runOwned(db *Database, r Request, run func(*engine) error) (*engine, error) {
+// returns. A panic in the engine becomes an *InternalError for this query
+// alone: the pool and the temporary files it may have left half-written
+// are the query's own, and the base relations are sealed.
+func runOwned(db *Database, r Request, run func(*engine) error) (e *engine, err error) {
 	temps, pool, err := newTrackedPool(db, r.Cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer temps.release()
+	defer func() {
+		if p := recover(); p != nil {
+			e, err = nil, &InternalError{Alg: r.Alg, Panic: p}
+		}
+	}()
 	return execute(db, pool, r, run)
 }
 
@@ -107,7 +114,10 @@ func RunConcurrent(db *Database, reqs []Request) []Response {
 
 // RunOne validates and executes one request with a private buffer pool and
 // private temporary files: the per-request entry under RunConcurrent, safe
-// to call from any number of goroutines over one database.
+// to call from any number of goroutines over one database. An engine panic
+// comes back as an *InternalError in Response.Err, on this goroutine and on
+// every worker of a partitioned query alike, so it never ends the caller's
+// process.
 func RunOne(db *Database, r Request) Response {
 	r, err := r.Validate(db)
 	if err != nil {

@@ -341,6 +341,18 @@ func invalidInput(format string, args ...any) error {
 	return &InvalidInputError{Reason: fmt.Sprintf(format, args...)}
 }
 
+// InternalError reports a panic inside one query's execution, recovered so
+// that it fails that query alone (see runOwned). A serving tier maps it to
+// a server error.
+type InternalError struct {
+	Alg   Algorithm
+	Panic any // the recovered value
+}
+
+func (e *InternalError) Error() string {
+	return fmt.Sprintf("core: %s: internal error: %v", e.Alg, e.Panic)
+}
+
 // validate checks the system parameters every entry point depends on.
 func (c Config) validate() error {
 	if c.BufferPages < 4 {

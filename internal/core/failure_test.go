@@ -161,3 +161,42 @@ func ExampleRun() {
 	fmt.Println(len(res.Successors[1]))
 	// Output: 3
 }
+
+// TestRunOneRecoversEnginePanic: a query that panics inside the engine —
+// here a list id past the 16-bit block owner field — fails with an
+// *InternalError instead of ending the process, on the calling goroutine
+// and on the workers of a partitioned query, and the database keeps
+// answering afterwards.
+func TestRunOneRecoversEnginePanic(t *testing.T) {
+	const n = 70000
+	db := NewDatabase(n, []graph.Arc{{From: 1, To: 2}, {From: n - 1, To: n}})
+	run := func(r Request) (resp Response) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("RunOne panicked: %v", p)
+			}
+		}()
+		return RunOne(db, r)
+	}
+	for _, r := range []Request{
+		{Alg: BTC},
+		{Alg: BTC, Query: Query{Sources: []int32{1, n - 1}}, Cfg: Config{Parallelism: 2}},
+	} {
+		resp := run(r)
+		var ie *InternalError
+		if !errors.As(resp.Err, &ie) {
+			t.Fatalf("%+v: err = %v, want *InternalError", r.Query, resp.Err)
+		}
+		if ie.Alg != BTC {
+			t.Errorf("InternalError.Alg = %q, want btc", ie.Alg)
+		}
+	}
+	resp := run(Request{Alg: BTC, Query: Query{Sources: []int32{1}}})
+	if resp.Err != nil {
+		t.Fatalf("query after the panic: %v", resp.Err)
+	}
+	if got := resp.Result.Successors[1]; len(got) != 1 || got[0] != 2 {
+		t.Fatalf("successors of 1 = %v, want [2]", got)
+	}
+}

@@ -1,6 +1,10 @@
 package core
 
-import "tcstudy/internal/slist"
+import (
+	"slices"
+
+	"tcstudy/internal/slist"
+)
 
 // Jakobsson's Compute_Tree algorithm (Sections 3.6, 4.1 and 6.3):
 // the magic graph is processed in forward topological order over
@@ -99,28 +103,31 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 	rootCount := make([]int32, n+1)
 	special := func(v int32) bool { return e.isSource[v] || rootCount[v] >= 2 }
 
-	present := make(map[int32]int32) // node -> parent, tree under construction
+	// The tree under construction and the pruning pass's keep set are
+	// stamped with x's epoch instead of being cleared per node: u is in
+	// the tree when present[u] == epoch, kept when keep[u] == epoch.
+	present := make([]int32, n+1)
+	keep := make([]int32, n+1)
+	var epoch int32
 	var ordered []treeNode
 	var predBuf []int32
 	var flat []int32
 	var it, tit slist.Iterator // reused across the hot loop
 
 	for _, x := range e.order { // forward topological order
-		for k := range present {
-			delete(present, k)
-		}
+		epoch++
 		ordered = ordered[:0]
 
 		// Read x's immediate predecessors (stored nearest-first).
 		predBuf = predBuf[:0]
 		it.Reset(preds, x)
 		for {
-			p, ok := it.Next()
+			blk, ok := it.NextBlock()
 			if !ok {
 				break
 			}
-			e.met.SuccessorsFetched++
-			predBuf = append(predBuf, p)
+			e.met.SuccessorsFetched += int64(len(blk))
+			predBuf = append(predBuf, blk...)
 		}
 		it.Close()
 		if err := it.Err(); err != nil {
@@ -129,7 +136,7 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 
 		for _, p := range predBuf {
 			e.met.ArcsConsidered++
-			if _, ok := present[p]; ok && !e.cfg.DisableMarking {
+			if present[p] == epoch && !e.cfg.DisableMarking {
 				// p is already in the tree: its rooted contribution came
 				// along with an earlier parent's tree. This is the marking
 				// analogue, and it fires only for special parents.
@@ -144,8 +151,8 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 			rooted := special(p)
 			if rooted {
 				e.met.TuplesGenerated++
-				if _, ok := present[p]; !ok {
-					present[p] = 0
+				if present[p] != epoch {
+					present[p] = epoch
 					ordered = append(ordered, treeNode{node: p, parent: 0})
 				} else {
 					e.met.Duplicates++
@@ -167,11 +174,11 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 				if par == 0 && rooted {
 					par = p
 				}
-				if _, dup := present[u]; dup {
+				if present[u] == epoch {
 					e.met.Duplicates++
 					continue
 				}
-				present[u] = par
+				present[u] = epoch
 				ordered = append(ordered, treeNode{node: u, parent: par})
 			}
 			tit.Close()
@@ -186,27 +193,22 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 		// always kept (its subtree contains the kept child's source), so
 		// pruning preserves tree connectivity. Entries are parent-first,
 		// so one reverse sweep propagates "contains a source" upward.
-		if len(ordered) > 0 {
-			keep := make(map[int32]bool, len(ordered))
-			for i := len(ordered) - 1; i >= 0; i-- {
-				tn := ordered[i]
-				if e.isSource[tn.node] || keep[tn.node] {
-					keep[tn.node] = true
-					if tn.parent != 0 {
-						keep[tn.parent] = true
-					}
+		for i := len(ordered) - 1; i >= 0; i-- {
+			tn := ordered[i]
+			if e.isSource[tn.node] || keep[tn.node] == epoch {
+				keep[tn.node] = epoch
+				if tn.parent != 0 {
+					keep[tn.parent] = epoch
 				}
 			}
-			kept := ordered[:0]
-			for _, tn := range ordered {
-				if keep[tn.node] {
-					kept = append(kept, tn)
-				} else {
-					delete(present, tn.node)
-				}
-			}
-			ordered = kept
 		}
+		kept := ordered[:0]
+		for _, tn := range ordered {
+			if keep[tn.node] == epoch {
+				kept = append(kept, tn)
+			}
+		}
+		ordered = kept
 
 		// If x is a source it becomes the single root of its own tree.
 		roots := int32(0)
@@ -221,7 +223,7 @@ func (e *engine) computeTrees(preds, trees *slist.Store) error {
 					ordered[i].parent = x
 				}
 			}
-			ordered = append([]treeNode{{node: x, parent: 0}}, ordered...)
+			ordered = slices.Insert(ordered, 0, treeNode{node: x, parent: 0})
 			roots = 1
 		}
 		rootCount[x] = roots

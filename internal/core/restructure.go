@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"tcstudy/internal/bitset"
 	"tcstudy/internal/graph"
 	"tcstudy/internal/slist"
 )
@@ -193,6 +194,7 @@ func (e *engine) singleParentReduce(adj [][]int32) [][]int32 {
 		}
 	}
 	reduced := make([]bool, n+1)
+	have := bitset.New(n + 1)   // mergeAdopted's scratch, empty between calls
 	for _, v := range e.order { // topological order: parents before children
 		if e.isSource[v] || parents[v] != 1 {
 			continue
@@ -208,7 +210,7 @@ func (e *engine) singleParentReduce(adj [][]int32) [][]int32 {
 		for _, c := range adj[v] {
 			soleParent[c] = p
 		}
-		adj[p] = mergeAdopted(adj[p], adj[v])
+		adj[p] = mergeAdopted(adj[p], adj[v], have)
 		adj[v] = nil
 		reduced[v] = true
 	}
@@ -217,17 +219,19 @@ func (e *engine) singleParentReduce(adj [][]int32) [][]int32 {
 
 // mergeAdopted appends the orphaned children to the parent's child list,
 // dropping duplicates (the arc parent -> reduced stays: the reduced node
-// is still a successor, now a sink).
-func mergeAdopted(parent, adopted []int32) []int32 {
-	have := make(map[int32]bool, len(parent))
+// is still a successor, now a sink). have is an empty scratch set, left
+// empty on return.
+func mergeAdopted(parent, adopted []int32, have *bitset.Set) []int32 {
 	for _, c := range parent {
-		have[c] = true
+		have.Add(c)
 	}
 	for _, c := range adopted {
-		if !have[c] {
-			have[c] = true
+		if !have.TestAndAdd(c) {
 			parent = append(parent, c)
 		}
+	}
+	for _, c := range parent {
+		have.Remove(c)
 	}
 	return parent
 }

@@ -70,7 +70,8 @@ func (e *engine) runSchmitz() error {
 		member := bitset.New(n + 1)   // nodes in the list being built
 		childSet := bitset.New(n + 1) // external child nodes of the component
 		marked := bitset.New(n + 1)
-		var appendBuf []int32
+		var appendBuf, external []int32
+		var it slist.Iterator // reused across the child unions
 
 		for i, ms := range members {
 			id := int32(i)
@@ -95,16 +96,14 @@ func (e *engine) runSchmitz() error {
 			// Distinct external children, ordered by component pop index
 			// descending (nearest components first) then node id, so
 			// marking mirrors BTC's topological child order.
-			var external []int32
-			seen := bitset.New(n + 1)
+			external = external[:0]
 			for _, m := range ms {
 				for _, c := range adj[m] {
 					if comp[c] == id {
 						continue // internal arc
 					}
-					if !seen.TestAndAdd(c) {
+					if !childSet.TestAndAdd(c) {
 						external = append(external, c)
-						childSet.Add(c)
 					}
 				}
 			}
@@ -115,7 +114,6 @@ func (e *engine) runSchmitz() error {
 				}
 				return external[a] < external[b]
 			})
-			var it slist.Iterator // reused across the child unions
 			for _, c := range external {
 				e.met.ArcsConsidered++
 				if !e.cfg.DisableMarking && marked.Has(c) {
@@ -127,16 +125,18 @@ func (e *engine) runSchmitz() error {
 				add(c)
 				it.Reset(store, comp[c])
 				for {
-					u, ok := it.Next()
+					blk, ok := it.NextBlock()
 					if !ok {
 						break
 					}
-					e.met.SuccessorsFetched++
-					e.met.TuplesGenerated++
-					if childSet.Has(u) {
-						marked.Add(u)
+					e.met.SuccessorsFetched += int64(len(blk))
+					e.met.TuplesGenerated += int64(len(blk))
+					for _, u := range blk {
+						if childSet.Has(u) {
+							marked.Add(u)
+						}
+						add(u)
 					}
-					add(u)
 				}
 				it.Close()
 				if err := it.Err(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"tcstudy/internal/api"
 	"tcstudy/internal/core"
 	"tcstudy/internal/faultdisk"
+	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
 )
 
@@ -145,5 +146,40 @@ func TestValidationStays400UnderFaults(t *testing.T) {
 	}
 	if snap.Errors != 2 {
 		t.Errorf("errors = %d, want 2 (the two 400s)", snap.Errors)
+	}
+}
+
+// TestEnginePanicIs500AndTenantKeepsServing: a query that panics inside the
+// engine (a list id past the 16-bit block owner field) runs on an
+// admission slot's goroutine; it must come back as a 500 counted as an
+// error, and the same tenant must answer the next query.
+func TestEnginePanicIs500AndTenantKeepsServing(t *testing.T) {
+	const n = 70000
+	db := core.NewDatabase(n, []graph.Arc{{From: 1, To: 2}, {From: n - 1, To: n}})
+	s := New(db, Options{})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	status, _, m := postRaw(t, ts.URL, map[string]any{"algorithm": "btc"})
+	if status != http.StatusInternalServerError {
+		t.Fatalf("panicking query returned %d, want 500 (body %v)", status, m)
+	}
+	status, _, m = postRaw(t, ts.URL, map[string]any{"algorithm": "btc", "sources": []int32{1}})
+	if status != http.StatusOK {
+		t.Fatalf("query after the panic returned %d (body %v)", status, m)
+	}
+	counts, ok := m["successor_counts"].(map[string]any)
+	if !ok || counts["1"] != float64(1) {
+		t.Fatalf("successor_counts = %v, want node 1 with 1 successor", m["successor_counts"])
+	}
+	var snap api.Snapshot
+	if code := getJSON(t, ts.URL+"/metrics?format=json", &snap); code != http.StatusOK {
+		t.Fatalf("/metrics returned %d", code)
+	}
+	if snap.Errors != 1 {
+		t.Errorf("errors = %d, want 1", snap.Errors)
 	}
 }

@@ -57,6 +57,42 @@ func BenchmarkIterate(b *testing.B) {
 	}
 }
 
+// BenchmarkIterateBlock is BenchmarkIterate a block at a time — the loop
+// the engine's list unions run. Must stay at zero allocs/op
+// (TestWarmBlockWalkAllocatesNothing enforces it).
+func BenchmarkIterateBlock(b *testing.B) {
+	s := newBenchStore(b, 16, 8)
+	const entries = 2000
+	vals := make([]int32, entries)
+	for i := range vals {
+		vals[i] = int32(i)
+	}
+	if err := s.AppendAll(0, vals); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var it Iterator
+	for i := 0; i < b.N; i++ {
+		it.Reset(s, 0)
+		n := 0
+		for {
+			blk, ok := it.NextBlock()
+			if !ok {
+				break
+			}
+			n += len(blk)
+		}
+		it.Close()
+		if err := it.Err(); err != nil {
+			b.Fatal(err)
+		}
+		if n != entries {
+			b.Fatalf("iterated %d entries, want %d", n, entries)
+		}
+	}
+}
+
 // BenchmarkAppendWithSplits grows interleaved lists so the page-split
 // machinery (ownersOnPage, relocate) runs constantly; scratch reuse keeps
 // steady-state allocations near zero.

@@ -140,10 +140,6 @@ func setPageBitmap(pg *pagedisk.Page, bm uint32) {
 	binary.LittleEndian.PutUint32(pg[0:4], bm)
 }
 
-func blockEntry(pg *pagedisk.Page, blk int16, i int) int32 {
-	return int32(binary.LittleEndian.Uint32(pg[blockOff(blk)+4*i:]))
-}
-
 func setBlockEntry(pg *pagedisk.Page, blk int16, i int, v int32) {
 	binary.LittleEndian.PutUint32(pg[blockOff(blk)+4*i:], uint32(v))
 }
@@ -399,11 +395,11 @@ func (s *Store) relocate(id int32) error {
 	var it Iterator
 	it.Reset(s, id)
 	for {
-		v, ok := it.Next()
+		blk, ok := it.NextBlock()
 		if !ok {
 			break
 		}
-		vals = append(vals, v)
+		vals = append(vals, blk...)
 	}
 	it.Close()
 	s.relocScratch = vals
@@ -510,8 +506,9 @@ func (s *Store) Clear(id int32) error {
 
 // --- read path -----------------------------------------------------------
 
-// Iterator walks one list front to back, holding at most one page pinned.
-// Callers must Close it and should check Err.
+// Iterator walks one list front to back, a block (NextBlock) or an entry
+// (Next) at a time, holding at most one page pinned. Callers must Close it
+// and should check Err.
 //
 // The iterator is defensive about on-page state: a corrupt chain (block
 // index outside the page layout, an entry count exceeding the block size,
@@ -520,13 +517,20 @@ func (s *Store) Clear(id int32) error {
 // through the buffer pool from a store that fault injection or a damaged
 // snapshot may have corrupted, so the read path cannot trust them.
 type Iterator struct {
-	s      *Store
-	cur    Ref
-	idx    int
-	steps  int // blocks visited, bounds the walk against cyclic chains
+	s     *Store
+	cur   Ref
+	read  bool // cur's entries have been returned
+	steps int  // blocks visited, bounds the walk against cyclic chains
+	// limit caches the cycle bound, (pages in the file + 1)·BlocksPerPage;
+	// it is re-read only when steps passes it, so a healthy walk takes no
+	// disk lock.
+	limit  int
 	h      buffer.Handle
 	pinned pagedisk.PageID
 	err    error
+
+	buf  [BlockEntries]int32 // the last decoded block
+	rest []int32             // its entries Next has not served yet
 }
 
 // NewIterator returns an iterator positioned before the first entry.
@@ -548,55 +552,87 @@ func (it *Iterator) Reset(s *Store, id int32) {
 	}
 	s.clock++
 	s.lastUse[id] = s.clock
-	*it = Iterator{s: s, cur: s.head[id], pinned: pagedisk.InvalidPage}
+	limit := 0
+	if it.s == s {
+		limit = it.limit // a file never shrinks under a live store
+	}
+	*it = Iterator{s: s, cur: s.head[id], limit: limit, pinned: pagedisk.InvalidPage}
 }
 
-// Next returns the next entry. ok is false at the end of the list or on
-// error (check Err).
-func (it *Iterator) Next() (v int32, ok bool) {
+// NextBlock returns the unread entries of the next non-empty block, decoded
+// into a buffer the iterator owns and overwrites on the following call. ok
+// is false at the end of the list or on error (check Err). It is the
+// iterator's only page walk — Next serves entries from it — so a page
+// stays pinned while its blocks are read and is released on the move to
+// another page, and a list costs the same buffer traffic read either way.
+func (it *Iterator) NextBlock() (entries []int32, ok bool) {
+	if len(it.rest) > 0 {
+		entries, it.rest = it.rest, nil
+		return entries, true
+	}
 	for {
 		if !it.cur.valid() || it.err != nil {
 			it.release()
-			return 0, false
+			return nil, false
 		}
 		if it.cur.Blk < 0 || it.cur.Blk >= BlocksPerPage {
 			it.err = fmt.Errorf("slist: corrupt chain: block index %d outside page layout", it.cur.Blk)
 			it.release()
-			return 0, false
+			return nil, false
 		}
 		if it.pinned != it.cur.Page {
 			it.release()
 			h, err := it.s.pool.Get(it.s.file, it.cur.Page)
 			if err != nil {
 				it.err = err
-				return 0, false
+				return nil, false
 			}
 			it.h = h
 			it.pinned = it.cur.Page
 		}
 		pg := it.h.Data()
-		used := blockUsed(pg, it.cur.Blk)
-		if used > BlockEntries {
-			it.err = fmt.Errorf("slist: corrupt block %d on page %d: %d entries used, capacity %d",
-				it.cur.Blk, it.cur.Page, used, BlockEntries)
-			it.release()
-			return 0, false
-		}
-		if it.idx < used {
-			v = blockEntry(pg, it.cur.Blk, it.idx)
-			it.idx++
-			return v, true
+		if !it.read {
+			used := blockUsed(pg, it.cur.Blk)
+			if used > BlockEntries {
+				it.err = fmt.Errorf("slist: corrupt block %d on page %d: %d entries used, capacity %d",
+					it.cur.Blk, it.cur.Page, used, BlockEntries)
+				it.release()
+				return nil, false
+			}
+			it.read = true
+			if used > 0 {
+				raw := pg[blockOff(it.cur.Blk):][:4*used]
+				for i := range used {
+					it.buf[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+				}
+				return it.buf[:used], true
+			}
 		}
 		// A well-formed chain visits each block at most once; a walk longer
 		// than every block in the file is a next-pointer cycle.
-		if it.steps++; it.steps > (it.s.pool.Disk().NumPages(it.s.file)+1)*BlocksPerPage {
-			it.err = fmt.Errorf("slist: corrupt chain: next-pointer cycle after %d blocks", it.steps)
-			it.release()
-			return 0, false
+		if it.steps++; it.steps > it.limit {
+			it.limit = (it.s.pool.Disk().NumPages(it.s.file) + 1) * BlocksPerPage
+			if it.steps > it.limit {
+				it.err = fmt.Errorf("slist: corrupt chain: next-pointer cycle after %d blocks", it.steps)
+				it.release()
+				return nil, false
+			}
 		}
 		it.cur = blockNext(pg, it.cur.Blk)
-		it.idx = 0
+		it.read = false
 	}
+}
+
+// Next returns the next entry, served from the block NextBlock last
+// decoded. ok is false at the end of the list or on error (check Err).
+func (it *Iterator) Next() (v int32, ok bool) {
+	if len(it.rest) == 0 {
+		if it.rest, ok = it.NextBlock(); !ok {
+			return 0, false
+		}
+	}
+	v, it.rest = it.rest[0], it.rest[1:]
+	return v, true
 }
 
 // Err reports the first error the iterator encountered, if any.
@@ -617,11 +653,11 @@ func (s *Store) ReadAll(id int32) ([]int32, error) {
 	out := make([]int32, 0, s.length[id])
 	it := s.NewIterator(id)
 	for {
-		v, ok := it.Next()
+		blk, ok := it.NextBlock()
 		if !ok {
 			break
 		}
-		out = append(out, v)
+		out = append(out, blk...)
 	}
 	it.Close()
 	return out, it.Err()

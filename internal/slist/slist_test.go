@@ -3,6 +3,7 @@ package slist
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -240,26 +241,32 @@ func TestIteratorReleasesPins(t *testing.T) {
 	if err := s.AppendAll(0, []int32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	it := s.NewIterator(0)
-	it.Next()
-	if got := s.Pool().PinnedFrames(); got != 1 {
-		t.Fatalf("mid-iteration pinned frames = %d, want 1", got)
-	}
-	it.Close()
-	if got := s.Pool().PinnedFrames(); got != 0 {
-		t.Fatalf("post-close pinned frames = %d, want 0", got)
-	}
-	// Exhausting the iterator also releases the pin.
-	it2 := s.NewIterator(0)
-	for {
-		if _, ok := it2.Next(); !ok {
-			break
+	for _, c := range []struct {
+		name string
+		step func(*Iterator) bool
+	}{
+		{"Next", func(it *Iterator) bool { _, ok := it.Next(); return ok }},
+		{"NextBlock", func(it *Iterator) bool { _, ok := it.NextBlock(); return ok }},
+	} {
+		name, step := c.name, c.step
+		it := s.NewIterator(0)
+		step(it)
+		if got := s.Pool().PinnedFrames(); got != 1 {
+			t.Fatalf("%s: mid-iteration pinned frames = %d, want 1", name, got)
 		}
+		it.Close()
+		if got := s.Pool().PinnedFrames(); got != 0 {
+			t.Fatalf("%s: post-close pinned frames = %d, want 0", name, got)
+		}
+		// Exhausting the iterator also releases the pin.
+		it2 := s.NewIterator(0)
+		for step(it2) {
+		}
+		if got := s.Pool().PinnedFrames(); got != 0 {
+			t.Fatalf("%s: exhausted iterator pinned frames = %d, want 0", name, got)
+		}
+		it2.Close()
 	}
-	if got := s.Pool().PinnedFrames(); got != 0 {
-		t.Fatalf("exhausted iterator pinned frames = %d, want 0", got)
-	}
-	it2.Close()
 }
 
 func TestIteratorEmptyList(t *testing.T) {
@@ -271,6 +278,77 @@ func TestIteratorEmptyList(t *testing.T) {
 	it.Close()
 	if it.Err() != nil {
 		t.Fatalf("Err = %v", it.Err())
+	}
+	it.Reset(s, 0)
+	if blk, ok := it.NextBlock(); ok || len(blk) != 0 {
+		t.Fatalf("NextBlock on empty list returned %v, %v", blk, ok)
+	}
+	it.Close()
+	if it.Err() != nil {
+		t.Fatalf("NextBlock Err = %v", it.Err())
+	}
+}
+
+// TestIteratorMixesNextAndNextBlock: NextBlock after a partial Next
+// returns the rest of the block Next was serving, so the two may be mixed
+// without losing or repeating an entry.
+func TestIteratorMixesNextAndNextBlock(t *testing.T) {
+	s, _ := newStore(t, 4, "smallest", 1)
+	vals := make([]int32, 2*BlockEntries+4)
+	for i := range vals {
+		vals[i] = int32(i + 1)
+	}
+	if err := s.AppendAll(0, vals); err != nil {
+		t.Fatal(err)
+	}
+	var it Iterator
+	it.Reset(s, 0)
+	var got []int32
+	for i := 0; ; i++ {
+		if i%3 == 0 {
+			blk, ok := it.NextBlock()
+			if !ok {
+				break
+			}
+			got = append(got, blk...)
+		} else {
+			v, ok := it.Next()
+			if !ok {
+				break
+			}
+			got = append(got, v)
+		}
+	}
+	it.Close()
+	if it.Err() != nil || !slices.Equal(got, vals) {
+		t.Fatalf("mixed walk = %v (err %v), want %v", got, it.Err(), vals)
+	}
+}
+
+// TestWarmBlockWalkAllocatesNothing pins the hot loop's allocation budget:
+// a warm Reset plus NextBlock walk of a multi-page list allocates 0.
+func TestWarmBlockWalkAllocatesNothing(t *testing.T) {
+	s, _ := newStore(t, 8, "smallest", 1)
+	vals := make([]int32, 1000)
+	for i := range vals {
+		vals[i] = int32(i)
+	}
+	if err := s.AppendAll(0, vals); err != nil {
+		t.Fatal(err)
+	}
+	var it Iterator
+	walk := func() {
+		it.Reset(s, 0)
+		for _, ok := it.NextBlock(); ok; _, ok = it.NextBlock() {
+		}
+		it.Close()
+	}
+	walk()
+	if allocs := testing.AllocsPerRun(20, walk); allocs != 0 {
+		t.Fatalf("warm Reset+NextBlock walk allocates %.1f times, want 0", allocs)
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
 	}
 }
 
@@ -360,47 +438,105 @@ func TestTinyPoolPanics(t *testing.T) {
 	NewStore(pool, "x", 1, lp)
 }
 
-// TestStoreMatchesReferenceProperty drives random interleaved appends with a
-// tiny buffer pool (forcing evictions and splits) and checks every list
-// against an in-memory reference.
+// seededStore builds a store from random interleaved appends with a tiny
+// buffer pool (forcing evictions, page splits, relocations and overflows),
+// returning it with the in-memory reference of every list. The same seed
+// builds the same store, page for page.
+func seededStore(seed int64) (*Store, [][]int32, error) {
+	rng := rand.New(rand.NewSource(seed))
+	const nLists = 12
+	d := pagedisk.New()
+	pol, _ := buffer.NewPolicy("lru", 4)
+	pool := buffer.New(d, 4, pol)
+	lpName := ListPolicyNames()[rng.Intn(len(ListPolicyNames()))]
+	lp, _ := NewListPolicy(lpName)
+	s := NewStore(pool, "p", nLists, lp)
+	ref := make([][]int32, nLists)
+	ops := rng.Intn(3000) + 100
+	for i := 0; i < ops; i++ {
+		id := int32(rng.Intn(nLists))
+		run := rng.Intn(8) + 1
+		vals := make([]int32, run)
+		for j := range vals {
+			vals[j] = int32(rng.Intn(1 << 20))
+		}
+		if err := s.AppendAll(id, vals); err != nil {
+			return nil, nil, err
+		}
+		ref[id] = append(ref[id], vals...)
+	}
+	return s, ref, nil
+}
+
+// TestStoreMatchesReferenceProperty checks every list of a seeded store
+// against its in-memory reference, read three ways: the Next sequence, the
+// concatenated NextBlock results and ReadAll. Two stores built from the same
+// seed are walked list by list, one with Next and one with NextBlock; the
+// pools' hit, miss, evict and read counts must move identically, so reading
+// a block at a time changes no page traffic.
 func TestStoreMatchesReferenceProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const nLists = 12
-		d := pagedisk.New()
-		pol, _ := buffer.NewPolicy("lru", 4)
-		pool := buffer.New(d, 4, pol)
-		lpName := ListPolicyNames()[rng.Intn(len(ListPolicyNames()))]
-		lp, _ := NewListPolicy(lpName)
-		s := NewStore(pool, "p", nLists, lp)
-		ref := make([][]int32, nLists)
-		ops := rng.Intn(3000) + 100
-		for i := 0; i < ops; i++ {
-			id := int32(rng.Intn(nLists))
-			run := rng.Intn(8) + 1
-			vals := make([]int32, run)
-			for j := range vals {
-				vals[j] = int32(rng.Intn(1 << 20))
-			}
-			if err := s.AppendAll(id, vals); err != nil {
-				return false
-			}
-			ref[id] = append(ref[id], vals...)
+		byEntry, ref, err := seededStore(seed)
+		if err != nil {
+			t.Log(err)
+			return false
 		}
-		for id := int32(0); id < nLists; id++ {
-			got, err := s.ReadAll(id)
-			if err != nil || len(got) != len(ref[id]) {
-				return false
+		byBlock, _, err := seededStore(seed)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		var it, bit Iterator
+		for id := range ref {
+			id := int32(id)
+			before, bbefore := byEntry.Pool().Stats(), byBlock.Pool().Stats()
+			var got, gotBlocks []int32
+			it.Reset(byEntry, id)
+			for v, ok := it.Next(); ok; v, ok = it.Next() {
+				got = append(got, v)
 			}
-			for i := range got {
-				if got[i] != ref[id][i] {
+			it.Close()
+			bit.Reset(byBlock, id)
+			for blk, ok := bit.NextBlock(); ok; blk, ok = bit.NextBlock() {
+				if len(blk) == 0 || len(blk) > BlockEntries {
+					t.Logf("list %d: NextBlock returned %d entries", id, len(blk))
 					return false
 				}
+				gotBlocks = append(gotBlocks, blk...)
+			}
+			bit.Close()
+			if it.Err() != nil || bit.Err() != nil {
+				t.Logf("list %d: Next err %v, NextBlock err %v", id, it.Err(), bit.Err())
+				return false
+			}
+			delta := subStats(byEntry.Pool().Stats(), before)
+			if bdelta := subStats(byBlock.Pool().Stats(), bbefore); delta != bdelta {
+				t.Logf("list %d: Next walk moved the pool by %+v, NextBlock walk by %+v", id, delta, bdelta)
+				return false
+			}
+			all, err := byEntry.ReadAll(id)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			if _, err := byBlock.ReadAll(id); err != nil { // keeps the two pools in step
+				t.Log(err)
+				return false
+			}
+			if !slices.Equal(got, ref[id]) || !slices.Equal(gotBlocks, ref[id]) || !slices.Equal(all, ref[id]) {
+				t.Logf("list %d: Next %d entries, NextBlock %d, ReadAll %d, reference %d",
+					id, len(got), len(gotBlocks), len(all), len(ref[id]))
+				return false
 			}
 		}
-		return pool.PinnedFrames() == 0
+		return byEntry.Pool().PinnedFrames() == 0 && byBlock.Pool().PinnedFrames() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func subStats(a, b buffer.Stats) buffer.Stats {
+	return buffer.Stats{Hits: a.Hits - b.Hits, Misses: a.Misses - b.Misses,
+		Evicts: a.Evicts - b.Evicts, Reads: a.Reads - b.Reads, Writes: a.Writes - b.Writes}
 }
