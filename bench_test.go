@@ -246,7 +246,6 @@ func BenchmarkBitMatrixClosure(b *testing.B) {
 	}{
 		{"btc", tcstudy.BTC, tcstudy.Config{BufferPages: 20}},
 		{"bitmatrix", tcstudy.BITM, tcstudy.Config{BufferPages: 20}},
-		{"bitmatrix-par4", tcstudy.BITM, tcstudy.Config{BufferPages: 20, Parallelism: 4}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var io int64

@@ -1,14 +1,9 @@
 // Command tcload drives a running tcserve instance with a configurable
 // open-loop query stream and reports throughput, latency percentiles and
 // the server's own cache statistics. The mix interleaves boolean reach
-// probes with partial-closure queries; the -sourcepool flag bounds how many
-// distinct query shapes circulate, which directly sets the attainable
-// cache hit rate.
-//
-// The reach workload is tunable for exercising the index fast path
-// against the engine path: -reach sets the fraction of /v1/reach probes
-// and -reachdist picks their src/dst distribution (uniform, zipf for hot
-// sources, local for dst within -reachspan of src).
+// probes, with src and dst drawn uniformly, and partial-closure queries
+// drawn from a fixed pool of 16 query shapes, so a warm cache serves most
+// of them. -reach sets the fraction of /v1/reach probes.
 //
 // Against a mutable server (tcserve -mutable, or a tcrouter fronting a
 // mutable fleet), -writemix interleaves POST /v1/arc mutation batches into
@@ -28,7 +23,7 @@
 // Examples (against tcserve -n 2000, or tcserve -graphs a=dir1,b=dir2):
 //
 //	tcload -addr http://localhost:8080 -duration 10s -qps 200 -reach 0.5
-//	tcload -addr http://localhost:8080 -reach 1 -reachdist zipf -qps 500
+//	tcload -addr http://localhost:8080 -reach 1 -qps 500
 //	tcload -addr http://localhost:8080 -writemix 0.1 -writeops 4 -qps 100
 //	tcload -addr http://localhost:8080 -graph a,b -qps 200
 //
@@ -66,11 +61,8 @@ func main() {
 		qps        = flag.Float64("qps", 100, "target request rate")
 		inflight   = flag.Int("inflight", 64, "max concurrent requests (arrivals beyond it are dropped)")
 		reachFrac  = flag.Float64("reach", 0.5, "fraction of requests that are /v1/reach probes")
-		reachDist  = flag.String("reachdist", "uniform", "reach src/dst distribution: uniform, zipf (hot low-numbered nodes), local (dst near src)")
-		reachSpan  = flag.Int("reachspan", 50, "max |dst-src| for -reachdist local")
 		algs       = flag.String("algs", "srch,bj,btc", "comma-separated algorithms for /v1/query requests")
 		maxSources = flag.Int("maxsources", 4, "max sources per closure query")
-		sourcePool = flag.Int("sourcepool", 16, "distinct query shapes in circulation (smaller = more cache hits)")
 		m          = flag.Int("m", 0, "buffer pages per query (0 = server default)")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		retries    = flag.Int("retries", 2, "retry attempts for transient 503 responses and transport errors")
@@ -87,8 +79,7 @@ func main() {
 	client := &http.Client{Timeout: 60 * time.Second}
 	rng := rand.New(rand.NewSource(*seed))
 	tenants, err := buildTenants(client, endpoints, *graphList, tenantParams{
-		algs: *algs, maxSources: *maxSources, pool: *sourcePool, m: *m, seed: *seed,
-		reachDist: *reachDist, reachSpan: *reachSpan, rng: rng,
+		algs: *algs, maxSources: *maxSources, m: *m, seed: *seed,
 	})
 	if err != nil {
 		fatal(err)
@@ -132,7 +123,7 @@ func main() {
 			url := base + "/v1/arc"
 			op = func() { record(doPost(client, url, body)) }
 		} else if rng.Float64() < *reachFrac {
-			src, dst := tr.pickReach()
+			src, dst := rng.Intn(tr.nodes)+1, rng.Intn(tr.nodes)+1
 			url := fmt.Sprintf("%s/v1/reach?src=%d&dst=%d%s", base, src, dst, tr.reachParam)
 			op = func() { record(doGet(client, url)) }
 		} else {
@@ -211,28 +202,24 @@ func checkTargets(c *http.Client, endpoints []string) (int, error) {
 	return nodes, nil
 }
 
-// tenantRun is one graph's slice of the workload: its pre-built query
-// shapes, its reach generator over its own node space, and (for named
-// graphs) its own collector for the end-of-run per-tenant summary. A
-// single-graph run is one tenantRun with an empty name and no collector —
-// the global collector already tells the whole story.
+// tenantRun is one graph's slice of the workload: its node space, its
+// pre-built query shapes, and (for named graphs) its own collector for the
+// end-of-run per-tenant summary. A single-graph run is one tenantRun with
+// an empty name and no collector — the global collector already tells the
+// whole story.
 type tenantRun struct {
 	name       string
 	nodes      int
 	reachParam string // "&graph=<name>" or ""
 	shapes     [][]byte
-	pickReach  func() (int32, int32)
 	stats      *collector
 }
 
 // tenantParams carries the workload knobs buildTenants needs per graph.
 type tenantParams struct {
-	algs                string
-	maxSources, pool, m int
-	seed                int64
-	reachDist           string
-	reachSpan           int
-	rng                 *rand.Rand
+	algs          string
+	maxSources, m int
+	seed          int64
 }
 
 // buildTenants resolves the -graph list into one tenantRun per graph,
@@ -251,14 +238,9 @@ func buildTenants(c *http.Client, endpoints []string, graphList string, p tenant
 		if err != nil {
 			return nil, err
 		}
-		pick, err := reachPicker(p.reachDist, p.reachSpan, nodes, p.rng)
-		if err != nil {
-			return nil, err
-		}
 		return []*tenantRun{{
-			nodes:     nodes,
-			shapes:    buildShapes(p.algs, "", nodes, p.maxSources, p.pool, p.m, p.seed),
-			pickReach: pick,
+			nodes:  nodes,
+			shapes: buildShapes(p.algs, "", nodes, p.maxSources, p.m, p.seed),
 		}}, nil
 	}
 
@@ -269,16 +251,11 @@ func buildTenants(c *http.Client, endpoints []string, graphList string, p tenant
 	tenants := make([]*tenantRun, 0, len(names))
 	for i, name := range names {
 		nodes := sizes[name]
-		pick, err := reachPicker(p.reachDist, p.reachSpan, nodes, p.rng)
-		if err != nil {
-			return nil, err
-		}
 		tenants = append(tenants, &tenantRun{
 			name:       name,
 			nodes:      nodes,
 			reachParam: "&graph=" + name,
-			shapes:     buildShapes(p.algs, name, nodes, p.maxSources, p.pool, p.m, p.seed+int64(i)),
-			pickReach:  pick,
+			shapes:     buildShapes(p.algs, name, nodes, p.maxSources, p.m, p.seed+int64(i)),
 			stats:      newCollector(),
 		})
 	}
@@ -348,50 +325,14 @@ func newPicker(endpoints []string) func() string {
 	}
 }
 
-// reachPicker returns the src/dst generator for /v1/reach probes. The
-// distribution shapes how well the server's caches and the reachability
-// index fast path fare: uniform gives no locality at all, zipf
-// concentrates traffic on hot low-numbered sources (a power-law audience),
-// and local keeps dst within -reachspan of src (probes that mostly hit,
-// mimicking neighborhood queries).
-func reachPicker(dist string, span, nodes int, rng *rand.Rand) (func() (int32, int32), error) {
-	uniform := func() int32 { return int32(rng.Intn(nodes) + 1) }
-	switch dist {
-	case "uniform":
-		return func() (int32, int32) { return uniform(), uniform() }, nil
-	case "zipf":
-		imax := uint64(nodes - 1)
-		if nodes < 2 {
-			return func() (int32, int32) { return 1, 1 }, nil
-		}
-		z := rand.NewZipf(rng, 1.2, 1, imax)
-		return func() (int32, int32) {
-			return int32(z.Uint64()) + 1, int32(z.Uint64()) + 1
-		}, nil
-	case "local":
-		if span < 1 {
-			return nil, fmt.Errorf("-reachspan must be positive, got %d", span)
-		}
-		return func() (int32, int32) {
-			src := int(uniform())
-			dst := src + rng.Intn(2*span+1) - span
-			if dst < 1 {
-				dst = 1
-			}
-			if dst > nodes {
-				dst = nodes
-			}
-			return int32(src), int32(dst)
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown -reachdist %q (have uniform, zipf, local)", dist)
-	}
-}
+// shapePool is how many distinct query shapes circulate: small enough that
+// a warm result cache answers most queries.
+const shapePool = 16
 
-// buildShapes pre-builds the /v1/query bodies for one graph; a non-empty
-// graph name is carried in every body so a multi-graph server routes the
-// query to the right tenant.
-func buildShapes(algs, graph string, nodes, maxSources, pool int, m int, seed int64) [][]byte {
+// buildShapes pre-builds the shapePool /v1/query bodies for one graph; a
+// non-empty graph name is carried in every body so a multi-graph server
+// routes the query to the right tenant.
+func buildShapes(algs, graph string, nodes, maxSources, m int, seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed + 1))
 	var algList []string
 	for _, a := range bytes.Split([]byte(algs), []byte(",")) {
@@ -402,11 +343,8 @@ func buildShapes(algs, graph string, nodes, maxSources, pool int, m int, seed in
 	if len(algList) == 0 {
 		algList = []string{"srch"}
 	}
-	if pool < 1 {
-		pool = 1
-	}
-	shapes := make([][]byte, 0, pool)
-	for i := 0; i < pool; i++ {
+	shapes := make([][]byte, 0, shapePool)
+	for i := 0; i < shapePool; i++ {
 		ns := rng.Intn(maxSources) + 1
 		sources := make([]int32, ns)
 		for j := range sources {

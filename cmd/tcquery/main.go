@@ -28,10 +28,10 @@
 // the same batch, so offline runs can be diffed against a live fleet.
 //
 // With -trace the run carries a phase-span tracer and the nested span tree
-// — query → restructure/compute → per-source or per-worker — is printed as
-// JSON after the metric record, each span annotated with its page-I/O
-// delta. This is the offline end of the server's slow-query log: the
-// logged replay command is a tcquery -trace invocation.
+// — query → restructure/compute → per-source — is printed as JSON after
+// the metric record, each span annotated with its page-I/O delta. This is
+// the offline end of the server's slow-query log: the logged replay
+// command is a tcquery -trace invocation.
 package main
 
 import (
@@ -68,7 +68,6 @@ func main() {
 		pagePolicy = flag.String("pagepolicy", "lru", "page replacement policy")
 		listPolicy = flag.String("listpolicy", "smallest", "list replacement policy")
 		ilimit     = flag.Float64("ilimit", 0, "HYB diagonal block fraction of the pool")
-		parallel   = flag.Int("parallel", 0, "intra-query source parallelism for multi-source queries (0 = serial)")
 		indexFile  = flag.String("index", "", "answer from this prebuilt reachability index (tcindex build) instead of running the engine")
 		show       = flag.Bool("show", false, "print the computed successor sets")
 		plan       = flag.Bool("plan", false, "print the planner's cost estimates before running")
@@ -161,7 +160,6 @@ func main() {
 		PagePolicy:  *pagePolicy,
 		ListPolicy:  *listPolicy,
 		ILIMIT:      *ilimit,
-		Parallelism: *parallel,
 	}
 	var tracer *obsv.Tracer
 	if *trace {

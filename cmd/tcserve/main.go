@@ -19,7 +19,7 @@
 //	tcserve -addr :8080 -n 2000 -index g.idx   # O(1) /v1/reach via tcindex build
 //	tcserve -addr :8080 -n 2000 -mutable       # read/write graph service
 //	tcserve -addr :8080 -graphs social=/var/lib/tc/social,citations=/var/lib/tc/cite
-//	tcserve -addr :8080 -pprof localhost:6060 -parallelism 4
+//	tcserve -addr :8080 -pprof localhost:6060
 //	tcserve -addr :8080 -n 2000 -slowlog 250ms -tracebuf 256
 //
 // With -graphs, one process hosts several named graphs: requests pick a
@@ -94,7 +94,6 @@ func main() {
 		pagePolicy = flag.String("pagepolicy", "lru", "default page replacement policy")
 		listPolicy = flag.String("listpolicy", "smallest", "default list replacement policy")
 		indexFile  = flag.String("index", "", "serve /v1/reach from this prebuilt reachability index (tcindex build)")
-		par        = flag.Int("parallelism", 0, "default intra-query source parallelism (0 = serial)")
 		pprofAddr  = flag.String("pprof", "", "expose net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
 		traceBuf   = flag.Int("tracebuf", 64, "recent request span trees kept for /debug/traces (0 disables tracing)")
 		slowLog    = flag.Duration("slowlog", 0, "log requests slower than this with span tree and replay command (0 disables)")
@@ -195,7 +194,6 @@ func main() {
 			BufferPages: *m,
 			PagePolicy:  *pagePolicy,
 			ListPolicy:  *listPolicy,
-			Parallelism: *par,
 		},
 		Dynamic:     dyn,
 		Planner:     planner.Config{Decay: *decay, Epsilon: *explore},

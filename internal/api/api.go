@@ -57,11 +57,6 @@ type QueryRequest struct {
 	PagePolicy  string  `json:"page_policy,omitempty"`
 	ListPolicy  string  `json:"list_policy,omitempty"`
 	ILIMIT      float64 `json:"ilimit,omitempty"`
-	// Parallelism partitions a multi-source query's sources across worker
-	// goroutines inside the engine (0 inherits the server default; 1 forces
-	// serial). Bounded server-side to keep one request from monopolizing
-	// the host.
-	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutMS overrides the server's default request deadline.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// IncludeSuccessors adds the full successor sets to the response

@@ -237,6 +237,7 @@ func TestGoldenSingle(t *testing.T) {
 	tr.post("/v1/query", `{"algorithm":"srch","sources":[97,3,41]}`) // same set: cache hit
 	tr.post("/v1/query", `{"algorithm":"bj","sources":[5,150],"buffer_pages":20,"include_successors":true}`)
 	tr.post("/v1/query", `{"algorithm":"btc","sources":[12],"page_policy":"clock","list_policy":"largest"}`)
+	// "parallelism" is no field of the body: the decoder ignores it.
 	tr.post("/v1/query", `{"algorithm":"hyb","sources":[8,9,10,11],"ilimit":0.25,"parallelism":2}`)
 	tr.post("/v1/query", `{"algorithm":"jkb2"}`) // full closure
 	tr.get("/v1/reach?src=3&dst=250")
@@ -249,7 +250,6 @@ func TestGoldenSingle(t *testing.T) {
 	tr.post("/v1/query", `{"algorithm":"btc","sources":[1],"buffer_pages":3}`)
 	tr.post("/v1/query", `{"algorithm":"btc","sources":[1],"page_policy":"nope"}`)
 	tr.post("/v1/query", `{"algorithm":"btc","sources":[1],"list_policy":"nope"}`)
-	tr.post("/v1/query", `{"algorithm":"btc","sources":[1,2],"parallelism":65}`)
 	tr.post("/v1/query", `{"algorithm":`)
 	tr.get("/v1/reach?src=x&dst=1")
 	tr.get("/v1/reach?src=1&dst=999")

@@ -101,13 +101,13 @@ func (r *Record) derive() {
 	r.EstimatedIOMS = ms(m.EstimatedIOTime())
 }
 
-// Merge folds per-shard records into one fleet record with the semantics
-// of core's parallel worker merge (internal/core/parallel.go): additive
-// counters sum — the merged record is honest about the total work the
-// fleet performed — per-phase wall times and the magic-graph dimensions
-// take the maximum, because the shards ran concurrently over their own
-// subgraphs, and the derived fields are recomputed from the merged
-// counters rather than averaged, so they stay exact. It is a pure function
+// Merge folds the records of sub-queries that ran concurrently over
+// disjoint source slices (tcrouter's shards) into one record. Additive
+// counters sum, so the merged record is honest about the total work
+// performed. Per-phase wall times and the magic-graph dimensions take the
+// maximum, because the sub-queries ran side by side over their own
+// subgraphs. The derived fields are recomputed from the merged counters
+// rather than averaged, so they stay exact. It is a pure function
 // of its inputs so a differential test can apply it to records obtained
 // from a single server and compare byte for byte.
 func Merge(records []Record) Record {

@@ -32,11 +32,8 @@ import (
 // the kernel always computes the full closure of the core, so a selection
 // query costs as much as CTC (only the source rows are expanded).
 //
-// BITM ignores Config.Parallelism, as CTC and single-source queries do: the
-// matrix is closed once whatever the source set, so Run never
-// scatter-gathers BITM queries over source slices (the strategy table's
-// partitions column), and the serial DAG sweep is far faster than any
-// parallel kernel on the cores that fit.
+// The kernel is always the serial DAG sweep: on the cores that fit it is
+// far faster than any parallel kernel.
 
 // runBitMatrix executes the dense-core strategy end to end.
 func (e *engine) runBitMatrix() error {

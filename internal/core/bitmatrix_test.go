@@ -199,50 +199,3 @@ func TestBitMatrixOversizedCyclicFallsBackToSchmitz(t *testing.T) {
 	}
 	rowsEqual(t, "oversized cyclic", n, res.Successors, bfsReference(n, arcs))
 }
-
-// TestBitMatrixParallelKernel: BITM ignores Config.Parallelism — no source
-// partitioning, no slower kernel — so a run that asks for workers must
-// return the serial run's answer and its exact metric record, for CTC and
-// multi-source PTC alike.
-func TestBitMatrixParallelKernel(t *testing.T) {
-	_, db := randomDAG(t, 17, 150, 8, 150)
-	serial, err := Run(db, BITM, Query{}, Config{BufferPages: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := Run(db, BITM, Query{}, Config{BufferPages: 10, Parallelism: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		rowsEqual(t, "parallel CTC", 150, par.Successors, serial.Successors)
-		if g, w := goldenRecord(par.Metrics), goldenRecord(serial.Metrics); g != w {
-			t.Fatalf("workers=%d: CTC record differs from the serial run's:\n%s", workers, diffLines(w, g))
-		}
-	}
-	srcs := []int32{2, 30, 77, 149}
-	ser, err := Run(db, BITM, Query{Sources: srcs}, Config{BufferPages: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(db, BITM, Query{Sources: srcs}, Config{BufferPages: 10, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range srcs {
-		g, w := sorted(par.Successors[s]), sorted(ser.Successors[s])
-		if len(g) != len(w) {
-			t.Fatalf("source %d: parallel has %d successors, serial %d", s, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("source %d rank %d: parallel %d, serial %d", s, i, g[i], w[i])
-			}
-		}
-	}
-	// One kernel execution, not a scatter-gather and not another kernel:
-	// the whole record matches, the restructuring scan included.
-	if g, w := goldenRecord(par.Metrics), goldenRecord(ser.Metrics); g != w {
-		t.Fatalf("PTC record with Parallelism=4 differs from the serial run's:\n%s", diffLines(w, g))
-	}
-}

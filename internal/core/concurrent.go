@@ -17,8 +17,8 @@ import (
 //
 // This extends the paper's single-threaded engine without changing it:
 // each individual query still executes the study's sequential two-phase
-// algorithm (unless Config.Parallelism asks a multi-source query to
-// partition its sources, see parallel.go).
+// algorithm on one goroutine. Concurrency is between queries, never inside
+// one.
 
 // Request is one query of a concurrent batch.
 type Request struct {
@@ -115,9 +115,8 @@ func RunConcurrent(db *Database, reqs []Request) []Response {
 // RunOne validates and executes one request with a private buffer pool and
 // private temporary files: the per-request entry under RunConcurrent, safe
 // to call from any number of goroutines over one database. An engine panic
-// comes back as an *InternalError in Response.Err, on this goroutine and on
-// every worker of a partitioned query alike, so it never ends the caller's
-// process.
+// comes back as an *InternalError in Response.Err, so it never ends the
+// caller's process.
 func RunOne(db *Database, r Request) Response {
 	r, err := r.Validate(db)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"tcstudy/internal/graphgen"
@@ -191,5 +192,90 @@ func TestConcurrentStressSmallBuffers(t *testing.T) {
 		if n := db.disk.NumPages(fileID(id)); n != 0 {
 			t.Fatalf("temp file %d still holds %d pages", id, n)
 		}
+	}
+}
+
+// metricsEqualModuloTime compares two metric records byte-for-byte except
+// the wall-clock fields, which legitimately vary run to run.
+func metricsEqualModuloTime(a, b Metrics) bool {
+	a.RestructureTime, b.RestructureTime = 0, 0
+	a.ComputeTime, b.ComputeTime = 0, 0
+	return a == b
+}
+
+// TestConcurrentStatsByteIdentical is the striping contract, meant for
+// -race: a flood of concurrent queries must produce metric records
+// byte-identical to their solo-run references — striping, sealing and
+// zero-copy views may not perturb a single counter.
+func TestConcurrentStatsByteIdentical(t *testing.T) {
+	_, db := randomDAG(t, 2004, 300, 4, 30)
+	shapes := []Request{
+		{Alg: BTC, Query: Query{Sources: graphgen.SourceSet(300, 4, 1)}, Cfg: Config{BufferPages: 6}},
+		{Alg: SPN, Query: Query{Sources: graphgen.SourceSet(300, 3, 2)}, Cfg: Config{BufferPages: 8}},
+		{Alg: SRCH, Query: Query{Sources: graphgen.SourceSet(300, 2, 3)}, Cfg: Config{BufferPages: 5}},
+		{Alg: HYB, Query: Query{}, Cfg: Config{BufferPages: 10, ILIMIT: 0.25}},
+	}
+	want := make([]Metrics, len(shapes))
+	for i, sh := range shapes {
+		res, err := Run(db, sh.Alg, sh.Query, sh.Cfg)
+		if err != nil {
+			t.Fatalf("solo %s: %v", sh.Alg, err)
+		}
+		want[i] = res.Metrics
+	}
+	const copies = 4
+	var reqs []Request
+	for c := 0; c < copies; c++ {
+		reqs = append(reqs, shapes...)
+	}
+	resps := RunConcurrent(db, reqs)
+	for i, r := range resps {
+		ref := want[i%len(shapes)]
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		if !metricsEqualModuloTime(r.Result.Metrics, ref) {
+			t.Errorf("request %d (%s): concurrent metrics differ from solo:\nconcurrent %+v\nsolo       %+v",
+				i, reqs[i].Alg, r.Result.Metrics, ref)
+		}
+	}
+}
+
+// BenchmarkConcurrentScaling measures batch throughput as the goroutine
+// count grows over one shared database. With striped, sealed storage the
+// queries share no mutable state, so throughput should scale with cores
+// (the pre-striping global mutex kept this flat). Run with
+// -cpu matching the host and compare ns/op across the goroutine counts.
+func BenchmarkConcurrentScaling(b *testing.B) {
+	arcs, err := graphgen.Generate(graphgen.Params{Nodes: 400, OutDegree: 4, Locality: 30, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := NewDatabase(400, arcs)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("goroutines=%d", workers), func(b *testing.B) {
+			// Each iteration runs `workers` identical queries concurrently
+			// and is charged for all of them, so ns/op divided by workers is
+			// the per-query latency; if throughput scales, ns/op stays ~flat
+			// as workers grow.
+			reqs := make([]Request, workers)
+			for i := range reqs {
+				reqs[i] = Request{
+					Alg:   BTC,
+					Query: Query{Sources: graphgen.SourceSet(400, 4, int64(i))},
+					Cfg:   Config{BufferPages: 8},
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, r := range RunConcurrent(db, reqs) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*workers), "ns/query")
+		})
 	}
 }

@@ -50,13 +50,6 @@ const (
 type strategy struct {
 	alg Algorithm
 	run func(*engine) error
-	// partitions reports whether a multi-source query may be split across
-	// Config.Parallelism workers (see parallel.go). The matrix family does
-	// not partition: Blocked Warren closes the whole n×n matrix and BITM's
-	// kernel the whole condensed core whatever the source set, so every
-	// worker would repeat the entire closure. They ignore the setting,
-	// exactly as CTC and single-source queries do.
-	partitions bool
 	// needsDAG reports whether the strategy is exact only on acyclic input:
 	// the list-closure and Compute_Tree families take a reverse DFS
 	// post-order for a topological one (restructure.go). The others search,
@@ -71,16 +64,16 @@ type strategy struct {
 // the dense-core bit-matrix strategy). BTC, HYB, BJ and SPN are
 // configurations of the list-closure driver (closure.go).
 var strategies = [...]strategy{
-	{alg: BTC, run: listClosure(specBTC), partitions: true, needsDAG: true},
-	{alg: HYB, run: listClosure(specHYB), partitions: true, needsDAG: true},
-	{alg: BJ, run: listClosure(specBJ), partitions: true, needsDAG: true},
-	{alg: SRCH, run: (*engine).runSRCH, partitions: true},
-	{alg: SPN, run: listClosure(specSPN), partitions: true, needsDAG: true},
-	{alg: JKB, run: func(e *engine) error { return e.runJKB(false) }, partitions: true, needsDAG: true},
-	{alg: JKB2, run: func(e *engine) error { return e.runJKB(true) }, partitions: true, needsDAG: true},
-	{alg: SEMI, run: (*engine).runSeminaive, partitions: true},
+	{alg: BTC, run: listClosure(specBTC), needsDAG: true},
+	{alg: HYB, run: listClosure(specHYB), needsDAG: true},
+	{alg: BJ, run: listClosure(specBJ), needsDAG: true},
+	{alg: SRCH, run: (*engine).runSRCH},
+	{alg: SPN, run: listClosure(specSPN), needsDAG: true},
+	{alg: JKB, run: func(e *engine) error { return e.runJKB(false) }, needsDAG: true},
+	{alg: JKB2, run: func(e *engine) error { return e.runJKB(true) }, needsDAG: true},
+	{alg: SEMI, run: (*engine).runSeminaive},
 	{alg: WARREN, run: (*engine).runWarren},
-	{alg: SCHMITZ, run: (*engine).runSchmitz, partitions: true},
+	{alg: SCHMITZ, run: (*engine).runSchmitz},
 	{alg: BITM, run: (*engine).runBitMatrix},
 }
 
@@ -136,24 +129,10 @@ type Config struct {
 	ChargeIndexIO bool
 	// DisableClustering turns off inter-list clustering (ablation).
 	DisableClustering bool
-	// Parallelism bounds the worker goroutines a multi-source PTC query may
-	// partition its sources across (0 or 1 runs the paper's serial engine).
-	// Each worker executes the full two-phase engine over its slice of the
-	// sources with a private buffer pool of BufferPages frames and private
-	// temporary files; the merged metric record is the sum of the workers'
-	// records (restructuring work repeats per worker, so parallel runs
-	// report more total I/O than a serial run — they trade pages for
-	// wall-clock time). The strategies whose work follows the source set
-	// partition (the strategy table's partitions column): the list-closure
-	// family, SRCH, JKB/JKB2, SEMI and SCHMITZ. CTC and single-source
-	// queries ignore the setting, and so do WARREN and BITM, which close
-	// the whole matrix whatever the sources: a worker per slice would
-	// repeat the entire closure.
-	Parallelism int
 	// Trace, when non-nil, is the parent span the engine hangs its phase
 	// spans under: "restructure" and "compute" spans carrying the exact
 	// page-I/O deltas of the metric record, with per-source expansion spans
-	// (SRCH) and per-worker partition spans (Parallelism) nested inside.
+	// (SRCH) nested inside.
 	// Tracing costs one nil check per phase when disabled. The field never
 	// participates in behaviour, caching or persistence — two runs differing
 	// only in Trace perform identical work.
@@ -407,7 +386,7 @@ func DedupSources(sources []int32) []int32 {
 // Validate is the one validation and normalisation entry of the engine:
 // it checks the request against the database and returns it as it will
 // execute — configuration defaults filled in, repeated sources dropped —
-// so a caller that keys a cache or partitions work on the request sees
+// so a caller that keys a cache or splits work on the request sees
 // exactly the source set the engine expands. Failures are
 // *InvalidInputError.
 func (r Request) Validate(db *Database) (Request, error) {
@@ -447,18 +426,10 @@ func Run(db *Database, alg Algorithm, q Query, cfg Config) (*Result, error) {
 	return r.run(db)
 }
 
-// run executes a validated request.
+// run executes a validated request on the calling goroutine with a private
+// buffer pool and private temporary files: the one path under Run, RunOne
+// and RunConcurrent.
 func (r Request) run(db *Database) (*Result, error) {
-	if r.partitioned() {
-		return runParallelSources(db, r)
-	}
-	return r.runSerial(db)
-}
-
-// runSerial executes a validated request on one goroutine with a private
-// buffer pool and private temporary files. It is the shared worker under
-// Run, RunConcurrent and the intra-query source partitioning.
-func (r Request) runSerial(db *Database) (*Result, error) {
 	e, err := runOwned(db, r, strategyOf(r.Alg).run)
 	if err != nil {
 		return nil, err

@@ -120,36 +120,6 @@ func TestSpanIOReconcilesWithGolden(t *testing.T) {
 	}
 }
 
-// TestSpanIOReconcilesParallel extends the reconciliation to intra-query
-// source parallelism: each worker's phase spans hang under a "worker"
-// span, and their sum must equal the merged (summed) metric record.
-func TestSpanIOReconcilesParallel(t *testing.T) {
-	_, db := randomDAG(t, 7, 200, 4, 40)
-	sources := []int32{3, 17, 40, 77, 103, 150, 180, 199}
-	tr := obsv.NewTracer()
-	root := tr.Start("query")
-	res, err := Run(db, BTC, Query{Sources: sources},
-		Config{BufferPages: 10, Parallelism: 3, Trace: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.Finish()
-
-	rec := tr.Records()[0]
-	if len(rec.Children) != 3 {
-		t.Fatalf("got %d worker spans, want 3", len(rec.Children))
-	}
-	restr := rec.SumIO("restructure")
-	comp := rec.SumIO("compute")
-	m := res.Metrics
-	if restr.Reads != m.Restructure.Reads || restr.Writes != m.Restructure.Writes {
-		t.Errorf("restructure spans %+v != merged record %+v", restr, m.Restructure)
-	}
-	if comp.Reads != m.Compute.Reads || comp.Writes != m.Compute.Writes {
-		t.Errorf("compute spans %+v != merged record %+v", comp, m.Compute)
-	}
-}
-
 // TestSRCHSourceSpans checks the per-source expansion spans: one per
 // source, nested in the compute phase, their I/O summing to the phase's.
 func TestSRCHSourceSpans(t *testing.T) {

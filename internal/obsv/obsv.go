@@ -8,8 +8,7 @@
 // The paper explains every headline result by decomposing page I/O into
 // per-phase counters; a Tracer turns that offline decomposition into an
 // online one. A trace is a tree of spans — query → restructuring /
-// computation phase → per-source expansion or per-worker partition — and
-// every span carries, besides wall-clock timing, the page-I/O delta
+// computation phase → per-source expansion — and every span carries, besides wall-clock timing, the page-I/O delta
 // (reads, writes, buffer hits/misses/evicts) the spanned work performed.
 // Because the engine fills each span's IO from the very counter deltas it
 // adds to its metric record, span I/O reconciles exactly with the record

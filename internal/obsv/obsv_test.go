@@ -95,8 +95,8 @@ func TestSpanCap(t *testing.T) {
 	}
 }
 
-// TestConcurrentChildren exercises parallel workers hanging spans under one
-// parent, the shape intra-query source parallelism produces.
+// TestConcurrentChildren exercises goroutines hanging spans under one
+// parent at the same time: the tracer's lock keeps the tree consistent.
 func TestConcurrentChildren(t *testing.T) {
 	tr := NewTracer()
 	root := tr.Start("query")

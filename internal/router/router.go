@@ -1,14 +1,13 @@
 // Package router is the scatter-gather serving tier in front of a fleet
-// of stateless tcserve replicas. The paper's partitioned algorithms
-// already decompose a closure query into independent per-source work, so
-// horizontal sharding is routing, not rework: every replica holds a full
-// copy of the sealed database (and index) files, a consistent-hash ring
-// assigns each source vertex an owning replica — keeping that replica's
-// result cache warm for the sources it owns — and a multi-source query
-// scatters one sub-query per owning replica, gathering the answers into a
-// single response whose metric record merges per-shard records with the
-// same additive-counters/max-phase-times semantics as core's parallel
-// worker merge.
+// of stateless tcserve replicas. A partial closure query's answer is one
+// successor set per source, each independent of the others, so horizontal
+// sharding is routing, not rework: every replica holds a full copy of the
+// sealed database (and index) files, a consistent-hash ring assigns each
+// source vertex an owning replica — keeping that replica's result cache
+// warm for the sources it owns — and a multi-source query scatters one
+// sub-query per owning replica, gathering the answers into a single
+// response whose metric record is the per-shard records folded by
+// api.Merge: additive counters sum, phase times take the maximum.
 //
 // Three defenses keep the tier serving under replica trouble:
 //

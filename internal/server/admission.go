@@ -158,16 +158,22 @@ func (d *dispatcher) Close() {
 // slot is one unit of engine concurrency: it runs waiting jobs one at a
 // time, answering each as it finishes, and frees itself when no job is
 // waiting. Jobs whose context expired while queued are answered without
-// touching the engine.
+// touching the engine. The slot takes its next job, or frees itself, before
+// it answers the current one, so a client holding its reply never sees
+// this slot still counted in Inflight.
 func (d *dispatcher) slot() {
 	defer d.slots.Done()
-	for j := d.next(); j != nil; j = d.next() {
+	for j := d.next(); j != nil; {
+		var resp core.Response
 		if err := j.ctx.Err(); err != nil {
-			j.done <- core.Response{Err: err}
-			continue
+			resp.Err = err
+		} else {
+			d.waited(time.Since(j.enq))
+			resp = d.exec(j.db, j.req)
 		}
-		d.waited(time.Since(j.enq))
-		j.done <- d.exec(j.db, j.req)
+		done := j.done
+		j = d.next()
+		done <- resp
 	}
 }
 

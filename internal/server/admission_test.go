@@ -264,6 +264,24 @@ func TestDispatcherAnswersEachJobWhenItFinishes(t *testing.T) {
 	d.Close()
 }
 
+// TestDispatcherFreesSlotBeforeAnswering pins the order behind the
+// tc_engine_inflight gauge: a lone job's slot is free by the time its
+// submitter has the answer, so a scrape after the last reply reads 0.
+func TestDispatcherFreesSlotBeforeAnswering(t *testing.T) {
+	d := newTestDispatcher(func(core.Request) core.Response {
+		return core.Response{Result: &core.Result{}}
+	}, 2, 8)
+	defer d.Close()
+	for i := 0; i < 5000; i++ {
+		if err := submitDefault(d, core.SRCH); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		if n := d.Inflight(); n != 0 {
+			t.Fatalf("submission %d: Inflight() = %d right after the answer, want 0", i, n)
+		}
+	}
+}
+
 // TestDispatcherDrainsOnClose pins the shutdown drain: Close returns only
 // after every job admitted before it — running in a slot or still queued —
 // has executed and been answered, and admission refuses afterwards.

@@ -389,10 +389,6 @@ func (s *Server) fail(w http.ResponseWriter, tn *tenant, err error) {
 	api.WriteJSON(w, status, api.Error{Message: msg})
 }
 
-// maxRequestParallelism caps the intra-query worker count any single
-// request may ask for.
-const maxRequestParallelism = 64
-
 // buildRequest turns a query body into the engine request it asks for:
 // server defaults under the body's overrides, then core's validation and
 // normalisation against the tenant's database.
@@ -410,13 +406,6 @@ func (s *Server) buildRequest(tn *tenant, qr api.QueryRequest) (core.Request, er
 	if qr.ILIMIT != 0 {
 		cfg.ILIMIT = qr.ILIMIT
 	}
-	if qr.Parallelism != 0 {
-		cfg.Parallelism = qr.Parallelism
-	}
-	if cfg.Parallelism < 0 || cfg.Parallelism > maxRequestParallelism {
-		return core.Request{}, badRequest("parallelism must be between 0 and %d, got %d",
-			maxRequestParallelism, cfg.Parallelism)
-	}
 	alg := core.Algorithm(strings.ToLower(strings.TrimSpace(qr.Algorithm)))
 	return core.Request{Alg: alg, Query: core.Query{Sources: qr.Sources}, Cfg: cfg}.Validate(tn.db)
 }
@@ -430,10 +419,9 @@ func cacheKey(req core.Request) string {
 	srcs := append([]int32(nil), req.Query.Sources...)
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|m=%d|pp=%s|lp=%s|il=%g|nomark=%t|idx=%t|noclus=%t|par=%d|s=",
+	fmt.Fprintf(&b, "%s|m=%d|pp=%s|lp=%s|il=%g|nomark=%t|idx=%t|noclus=%t|s=",
 		req.Alg, req.Cfg.BufferPages, req.Cfg.PagePolicy, req.Cfg.ListPolicy,
-		req.Cfg.ILIMIT, req.Cfg.DisableMarking, req.Cfg.ChargeIndexIO, req.Cfg.DisableClustering,
-		req.Cfg.Parallelism)
+		req.Cfg.ILIMIT, req.Cfg.DisableMarking, req.Cfg.ChargeIndexIO, req.Cfg.DisableClustering)
 	for _, v := range srcs {
 		fmt.Fprintf(&b, "%d,", v)
 	}

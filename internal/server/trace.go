@@ -11,8 +11,8 @@ import (
 )
 
 // Request tracing. Every traced request records its span tree — query →
-// phase → per-source / per-worker — into a bounded ring exposed at
-// GET /debug/traces, newest first. Requests slower than the configured
+// phase → per-source — into a bounded ring exposed at GET /debug/traces,
+// newest first. Requests slower than the configured
 // threshold are additionally written to the slow-query log together with a
 // tcquery command line that replays the exact engine work offline.
 
@@ -104,9 +104,6 @@ func replayCommand(graphArgs string, req core.Request) string {
 	}
 	if req.Cfg.ILIMIT != 0 {
 		fmt.Fprintf(&b, " -ilimit %g", req.Cfg.ILIMIT)
-	}
-	if req.Cfg.Parallelism > 1 {
-		fmt.Fprintf(&b, " -parallel %d", req.Cfg.Parallelism)
 	}
 	b.WriteString(" -trace")
 	return b.String()
