@@ -90,17 +90,6 @@ func BenchmarkSubstrates(b *testing.B) {
 		// expansion to speak of.
 		runCell(b, "G5", tcstudy.SRCH, 1, tcstudy.Config{BufferPages: 10})
 	})
-	b.Run("condense", func(b *testing.B) {
-		bg := family(b, "G5")
-		arcs := bg.g.Arcs()
-		g := tcstudy.NewGraph(benchNodes, arcs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tcstudy.ClosureOfCyclic(g, tcstudy.BTC, tcstudy.Config{BufferPages: 10}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkCoreUnion isolates the successor-list union inner loop by
@@ -215,11 +204,11 @@ func BenchmarkSchmitzCyclic(b *testing.B) {
 	b.Run("condense+btc", func(b *testing.B) {
 		var io int64
 		for i := 0; i < b.N; i++ {
-			cc, err := tcstudy.ClosureOfCyclic(g, tcstudy.BTC, tcstudy.Config{BufferPages: 20})
+			res, err := db.FullClosure(tcstudy.BTC, tcstudy.Config{BufferPages: 20})
 			if err != nil {
 				b.Fatal(err)
 			}
-			io = cc.Metrics.TotalIO()
+			io = res.Metrics.TotalIO()
 		}
 		b.ReportMetric(float64(io), "pageIO/op")
 	})

@@ -151,28 +151,6 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	}
 }
 
-// TestCycleAcceptanceDocumented checks docs/ALGORITHMS.md's "accepts cycles"
-// column against the strategy table it is read off.
-func TestCycleAcceptanceDocumented(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("docs", "ALGORITHMS.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepts := make(map[core.Algorithm]bool)
-	for _, alg := range core.AcceptsCycles() {
-		accepts[alg] = true
-	}
-	for _, alg := range core.Algorithms() {
-		answer := "no"
-		if accepts[alg] {
-			answer = "yes"
-		}
-		if row := "| `" + string(alg) + "` | " + answer + " |"; !strings.Contains(string(raw), row) {
-			t.Errorf("docs/ALGORITHMS.md lacks the row %q", row)
-		}
-	}
-}
-
 // TestServingFactsDeclaredOnce greps the non-test Go source outside bench/
 // for the facts the serving tier must state exactly once: the wire name of
 // the metric record's fields lives in one file, every metric family name

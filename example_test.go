@@ -66,13 +66,14 @@ func ExampleNewWeightedDB() {
 	// Output: cheapest 1->3 costs 4
 }
 
-func ExampleClosureOfCyclic() {
-	// A two-node cycle feeding a sink.
+func ExampleDB_FullClosure_cyclic() {
+	// A two-node cycle feeding a sink. BTC needs a DAG, so it runs on the
+	// condensation, whose nodes are the graph's two components.
 	g := tcstudy.NewGraph(3, []tcstudy.Arc{
 		{From: 1, To: 2}, {From: 2, To: 1}, {From: 2, To: 3},
 	})
-	cc, _ := tcstudy.ClosureOfCyclic(g, tcstudy.BTC, tcstudy.Config{BufferPages: 8})
-	fmt.Println(cc.Components, "components; node 1 reaches", len(cc.Successors[1]), "nodes")
+	res, _ := tcstudy.NewDB(g).FullClosure(tcstudy.BTC, tcstudy.Config{BufferPages: 8})
+	fmt.Println(res.Metrics.MagicNodes, "components; node 1 reaches", len(res.Successors[1]), "nodes")
 	// Output: 2 components; node 1 reaches 3 nodes
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"tcstudy/internal/bitset"
 	"tcstudy/internal/buffer"
 	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
@@ -54,7 +55,8 @@ type strategy struct {
 	// the list-closure and Compute_Tree families take a reverse DFS
 	// post-order for a topological one (restructure.go). The others search,
 	// iterate to a fixpoint or condense, and are exact on any digraph.
-	// Request.Validate refuses a needsDAG strategy on a cyclic database.
+	// On a cyclic database a needsDAG strategy runs on the condensation
+	// (see Request.run).
 	needsDAG bool
 }
 
@@ -92,18 +94,6 @@ func Algorithms() []Algorithm {
 	algs := make([]Algorithm, len(strategies))
 	for i, s := range strategies {
 		algs[i] = s.alg
-	}
-	return algs
-}
-
-// AcceptsCycles lists the algorithms that are exact on cyclic input, in
-// table order; the rest need a DAG.
-func AcceptsCycles() []Algorithm {
-	var algs []Algorithm
-	for _, s := range strategies {
-		if !s.needsDAG {
-			algs = append(algs, s.alg)
-		}
 	}
 	return algs
 }
@@ -175,6 +165,9 @@ type Database struct {
 	// acyclic records whether the stored graph is a DAG, learnt once when
 	// the database is built or opened and never charged to a query.
 	acyclic bool
+	// cond is a cyclic database's condensation (nil on a DAG), built beside
+	// acyclic by learnCycles.
+	cond *condensation
 
 	// Dataset fingerprint, computed lazily on first use (the stored
 	// relation is immutable once built). See Fingerprint.
@@ -188,17 +181,37 @@ func NewDatabase(n int, arcs []graph.Arc) *Database {
 	disk := pagedisk.New()
 	ts := graphgen.Tuples(arcs)
 	db := &Database{
-		disk:    disk,
-		rel:     relation.Build(disk, "graph", ts),
-		inv:     relation.BuildInverse(disk, "graph-inverse", ts),
-		n:       n,
-		acyclic: graph.IsDAG(n, arcs),
+		disk: disk,
+		rel:  relation.Build(disk, "graph", ts),
+		inv:  relation.BuildInverse(disk, "graph-inverse", ts),
+		n:    n,
 	}
+	db.learnCycles(arcs)
 	db.buildIndexes()
 	// The base relations and indexes are complete and immutable from here
 	// on: seal them so concurrent queries read them lock-free and copy-free.
 	disk.SealAll()
 	return db
+}
+
+// condensation is a cyclic database's strongly connected components and
+// the database of their acyclic condensation, on a page store of its own:
+// the DAG-only strategies answer a cyclic graph there, as the paper's
+// Section 1 prescribes.
+type condensation struct {
+	graph.Components
+	db *Database
+}
+
+// learnCycles records whether the arcs form a DAG and, when they do not,
+// builds the condensation's database. Like the rest of construction, it is
+// never charged to a query.
+func (db *Database) learnCycles(arcs []graph.Arc) {
+	db.acyclic = graph.IsDAG(db.n, arcs)
+	if !db.acyclic {
+		c := graph.New(db.n, arcs).Condense()
+		db.cond = &condensation{Components: c.Components, db: NewDatabase(c.K(), c.DAG.Arcs())}
+	}
 }
 
 // buildIndexes bulk-loads the disk-resident B+-trees (database
@@ -229,13 +242,13 @@ func NewDatabaseWeighted(n int, arcs []graph.Arc, weight func(graph.Arc) int32) 
 		return nil, err
 	}
 	db := &Database{
-		disk:    disk,
-		rel:     rel,
-		inv:     relation.BuildInverse(disk, "graph-inverse", ts),
-		wcol:    wcol,
-		n:       n,
-		acyclic: graph.IsDAG(n, arcs),
+		disk: disk,
+		rel:  rel,
+		inv:  relation.BuildInverse(disk, "graph-inverse", ts),
+		wcol: wcol,
+		n:    n,
 	}
+	db.learnCycles(arcs)
 	db.buildIndexes()
 	disk.SealAll()
 	return db, nil
@@ -251,8 +264,9 @@ func (db *Database) Store() pagedisk.Store { return db.disk }
 // one. Its intended use is layering fault injection over an already-built
 // database (wrap the current store with faultdisk, swap it in, and swap
 // the original back to return to clean operation); the replacement must
-// present the same files and pages. Swapping while queries are in flight
-// is the caller's race to avoid.
+// present the same files and pages. A cyclic database's condensation has
+// its own store, which the swap leaves alone. Swapping while queries are
+// in flight is the caller's race to avoid.
 func (db *Database) SwapStore(s pagedisk.Store) pagedisk.Store {
 	old := db.disk
 	db.disk = s
@@ -310,8 +324,8 @@ func fileID(id int) pagedisk.FileID { return pagedisk.FileID(id) }
 
 // InvalidInputError reports a request the engine refuses because of its
 // own inputs: an unknown algorithm or policy, a buffer pool too small, a
-// source outside the graph, a DAG-only algorithm on a cyclic graph. A
-// serving tier maps it to a client error.
+// source outside the graph, a path aggregate on a cyclic graph. A serving
+// tier maps it to a client error.
 type InvalidInputError struct{ Reason string }
 
 func (e *InvalidInputError) Error() string { return "core: " + e.Reason }
@@ -390,19 +404,15 @@ func DedupSources(sources []int32) []int32 {
 // exactly the source set the engine expands. Failures are
 // *InvalidInputError.
 func (r Request) Validate(db *Database) (Request, error) {
-	st := strategyOf(r.Alg)
-	if st == nil {
+	if strategyOf(r.Alg) == nil {
 		return r, invalidInput("unknown algorithm %q (have %v)", r.Alg, Algorithms())
 	}
-	return r.validateInputs(db, st.needsDAG)
+	return r.validateInputs(db)
 }
 
 // validateInputs is Validate without the algorithm lookup, for RunPaths,
-// whose aggregates are not rows of the strategy table (and all need a DAG).
-func (r Request) validateInputs(db *Database, needsDAG bool) (Request, error) {
-	if needsDAG && !db.acyclic {
-		return r, invalidInput("%s needs a DAG and the stored graph has a cycle; the algorithms that accept cycles are %v", r.Alg, AcceptsCycles())
-	}
+// whose aggregates are not rows of the strategy table.
+func (r Request) validateInputs(db *Database) (Request, error) {
 	r.Cfg = r.Cfg.withDefaults()
 	if err := r.Cfg.validate(); err != nil {
 		return r, err
@@ -428,13 +438,61 @@ func Run(db *Database, alg Algorithm, q Query, cfg Config) (*Result, error) {
 
 // run executes a validated request on the calling goroutine with a private
 // buffer pool and private temporary files: the one path under Run, RunOne
-// and RunConcurrent.
+// and RunConcurrent. A DAG-only strategy on a cyclic database runs on its
+// condensation.
 func (r Request) run(db *Database) (*Result, error) {
-	e, err := runOwned(db, r, strategyOf(r.Alg).run)
+	st := strategyOf(r.Alg)
+	if st.needsDAG && !db.acyclic {
+		return db.cond.run(r)
+	}
+	e, err := runOwned(db, r, st.run)
 	if err != nil {
 		return nil, err
 	}
 	return e.result(), nil
+}
+
+// run answers a validated request over the condensation: the sources map
+// to their components (a full closure stays one, over the components), the
+// strategy runs on the component DAG, and each source's row expands back
+// to nodes with Components.Expand. The metric record is the condensed
+// run's.
+func (c *condensation) run(r Request) (*Result, error) {
+	sources := r.Query.Sources
+	if r.Query.IsFull() {
+		sources = make([]int32, len(c.Component)-1)
+		for i := range sources {
+			sources[i] = int32(i + 1)
+		}
+	} else {
+		comps := make([]int32, len(sources))
+		for i, s := range sources {
+			comps[i] = c.Component[s]
+		}
+		r.Query.Sources = DedupSources(comps)
+	}
+	res, err := r.run(c.db)
+	if err != nil {
+		return nil, err
+	}
+	answer := make(map[int32][]int32, len(sources))
+	expanded := make(map[int32][]int32) // the members of a component share its expansion
+	reached := bitset.New(c.K() + 1)
+	for _, s := range sources {
+		cs := c.Component[s]
+		succ, done := expanded[cs]
+		if !done {
+			reached.Clear()
+			for _, x := range res.Successors[cs] {
+				reached.Add(x)
+			}
+			succ = c.Expand(s, reached.Words())
+			expanded[cs] = succ
+		}
+		answer[s] = succ
+	}
+	res.Successors = answer
+	return res, nil
 }
 
 // engine is the per-run state shared by the algorithm implementations.

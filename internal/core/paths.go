@@ -67,7 +67,12 @@ func RunPaths(db *Database, agg PathAggregate, q Query, cfg Config) (*PathResult
 	default:
 		return nil, fmt.Errorf("core: unknown path aggregate %q", agg)
 	}
-	r, err := Request{Alg: Algorithm("paths-" + string(agg)), Query: q, Cfg: cfg}.validateInputs(db, true)
+	if !db.acyclic {
+		// Unlike reachability, a path aggregate does not survive
+		// condensation: a path count over a cycle is unbounded.
+		return nil, invalidInput("path aggregate %q needs a DAG and the stored graph has a cycle", agg)
+	}
+	r, err := Request{Alg: Algorithm("paths-" + string(agg)), Query: q, Cfg: cfg}.validateInputs(db)
 	if err != nil {
 		return nil, err
 	}

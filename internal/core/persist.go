@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"tcstudy/internal/graph"
 	"tcstudy/internal/pagedisk"
 	"tcstudy/internal/relation"
 )
@@ -103,7 +102,7 @@ func OpenDatabase(dir string) (*Database, error) {
 	// As in NewDatabase: the base files are immutable once the indexes
 	// exist, so seal them for lock-free, copy-free concurrent reads.
 	disk.SealAll()
-	// Learn once whether the stored graph is a DAG (see Request.Validate).
+	// Learn once whether the stored graph is a DAG, as NewDatabase does.
 	arcs, err := db.Arcs()
 	if err != nil {
 		return nil, err
@@ -113,6 +112,6 @@ func OpenDatabase(dir string) (*Database, error) {
 			return nil, fmt.Errorf("core: snapshot in %s stores arc (%d,%d) outside its node space 1..%d", dir, a.From, a.To, db.n)
 		}
 	}
-	db.acyclic = graph.IsDAG(db.n, arcs)
+	db.learnCycles(arcs)
 	return db, nil
 }

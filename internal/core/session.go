@@ -47,11 +47,17 @@ func (s *Session) Faults() int64 { return s.faults }
 
 // Run executes one query within the session. A request the engine refuses
 // (*InvalidInputError) never reaches the pool: it is not a fault and costs
-// the session nothing.
+// the session nothing. The session's pool sits on the base store, so a
+// DAG-only strategy on a cyclic database, which runs on the condensation's
+// own store, runs cold as under Run and leaves the pool as it was.
 func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
 	r, err := Request{Alg: alg, Query: q, Cfg: s.cfg}.Validate(s.db)
 	if err != nil {
 		return nil, err
+	}
+	st := strategyOf(alg)
+	if st.needsDAG && !s.db.acyclic {
+		return s.db.cond.run(r)
 	}
 	// Release this query's temporary files on the way out: drop their
 	// buffered pages, then their storage. Only files created through the
@@ -64,7 +70,7 @@ func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
 		}
 		s.temps.release()
 	}()
-	e, err := execute(s.db, s.pool, r, strategyOf(alg).run)
+	e, err := execute(s.db, s.pool, r, st.run)
 	if err != nil {
 		// The aborted run can leave pages pinned and dirty frames holding
 		// its temporaries. Drop every frame — the base relations are

@@ -700,7 +700,8 @@ func (s *Suite) ExtensionSession() (*Table, error) {
 
 // Condensation demonstrates the cyclic-graph pipeline the paper's
 // introduction assumes: strongly connected components are merged into an
-// acyclic condensation whose closure is then computed with BTC.
+// acyclic condensation whose closure is then computed with BTC — the route
+// the engine takes for BTC on a cyclic database.
 func (s *Suite) Condensation() (*Table, error) {
 	t := &Table{
 		ID:      "condensation",
@@ -729,31 +730,23 @@ func (s *Suite) Condensation() (*Table, error) {
 	}
 	g := graph.New(n, arcs)
 	cond := g.Condense()
-	db := core.NewDatabase(cond.DAG.N(), cond.DAG.Arcs())
-	m := measure{}
-	res, err := core.Run(db, core.BTC, core.Query{}, core.Config{BufferPages: 10})
+	// BTC needs a DAG, so on the cyclic database it runs on the
+	// condensation; Schmitz closes the cyclic graph directly.
+	cycDB := core.NewDatabase(n, arcs)
+	res, err := core.Run(cycDB, core.BTC, core.Query{}, core.Config{BufferPages: 10})
 	if err != nil {
 		return nil, err
 	}
-	m.io = float64(res.Metrics.TotalIO())
-	// Schmitz closes the original cyclic graph directly.
-	cycDB := core.NewDatabase(n, arcs)
 	sres, err := core.Run(cycDB, core.SCHMITZ, core.Query{}, core.Config{BufferPages: 10})
 	if err != nil {
 		return nil, err
 	}
-	// Expand the condensation closure back to original nodes to size it.
-	succ, err := cond.DAG.Closure()
-	if err != nil {
-		return nil, err
-	}
-	expanded := cond.ExpandClosure(succ)
 	var tc int64
-	for u := 1; u <= n; u++ {
-		tc += int64(len(expanded[u]))
+	for _, succ := range res.Successors {
+		tc += int64(len(succ))
 	}
-	t.AddRow(fmt.Sprint(n), fmt.Sprint(g.NumArcs()), fmt.Sprint(cond.DAG.N()),
-		fmt.Sprint(cond.DAG.NumArcs()), f0(m.io),
+	t.AddRow(fmt.Sprint(n), fmt.Sprint(g.NumArcs()), fmt.Sprint(cond.K()),
+		fmt.Sprint(cond.DAG.NumArcs()), f0(float64(res.Metrics.TotalIO())),
 		f0(float64(sres.Metrics.TotalIO())), fmt.Sprint(tc))
 	return t, nil
 }

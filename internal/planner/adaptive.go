@@ -228,11 +228,6 @@ func (a *Adaptive) Rank(p Profile, numSources, bufferPages int) []Decision {
 	return ds
 }
 
-// Choose returns the top of the blended ranking.
-func (a *Adaptive) Choose(p Profile, numSources, bufferPages int) Decision {
-	return a.Rank(p, numSources, bufferPages)[0]
-}
-
 // Observe folds one executed query into the store: the algorithm that ran,
 // the query shape it ran under, and the measured latency and page I/O —
 // the same phase deltas the tc_engine_phase_seconds histograms record. It

@@ -14,6 +14,7 @@
 package planner
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -46,9 +47,14 @@ type Profile struct {
 
 // BuildProfile computes the profile: one full DFS for the rectangle model
 // plus `samples` in-memory reachability probes (both cheap relative to any
-// closure computation).
+// closure computation). The rectangle model is defined on DAGs only, so a
+// cyclic graph is profiled as its condensation, the graph the DAG-only
+// algorithms run on.
 func BuildProfile(g *graph.Graph, samples int, seed int64) (Profile, error) {
 	st, err := g.RectangleModel()
+	if errors.As(err, new(graph.ErrCyclic)) {
+		return BuildProfile(g.Condense().DAG, samples, seed)
+	}
 	if err != nil {
 		return Profile{}, err
 	}

@@ -356,16 +356,11 @@ func (s *Server) fail(w http.ResponseWriter, tn *tenant, err error) {
 	status, msg, counter, transient := http.StatusInternalServerError, err.Error(), s.met.Errors, false
 	var he *httpError
 	var invalid *core.InvalidInputError
-	var cyclic graph.ErrCyclic
 	switch {
 	case errors.As(err, &he):
 		status = he.status
 	case errors.As(err, &invalid):
 		status, msg = http.StatusBadRequest, invalid.Reason
-	case errors.As(err, &cyclic):
-		// The planner's rectangle model is defined on DAGs only: the same
-		// client error as a DAG-only algorithm on a cyclic graph.
-		status = http.StatusBadRequest
 	case errors.Is(err, ErrSaturated), errors.Is(err, dynamic.ErrBacklog):
 		status, counter = http.StatusTooManyRequests, s.met.Rejected
 		if tn != nil {

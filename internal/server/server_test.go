@@ -402,7 +402,6 @@ func TestFailStatusMapping(t *testing.T) {
 	}{
 		{"client error", badRequest("no"), http.StatusBadRequest, m.Errors, false},
 		{"engine validation", &core.InvalidInputError{Reason: "no"}, http.StatusBadRequest, m.Errors, false},
-		{"plan of a cyclic graph", fmt.Errorf("planner profile: %w", graph.ErrCyclic{Node: 3}), http.StatusBadRequest, m.Errors, false},
 		{"queue full", ErrSaturated, http.StatusTooManyRequests, m.Rejected, false},
 		{"mutation backlog", dynamic.ErrBacklog, http.StatusTooManyRequests, m.Rejected, false},
 		{"draining", ErrClosed, http.StatusServiceUnavailable, m.Errors, false},

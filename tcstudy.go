@@ -17,14 +17,13 @@
 //	res, _ := db.Run(tcstudy.BTC, tcstudy.Query{}, tcstudy.Config{BufferPages: 20})
 //	fmt.Println("page I/O:", res.Metrics.TotalIO())
 //
-// Cyclic graphs are answered directly by SRCH, SEMI, WARREN, SCHMITZ and
-// BITM; the paper's other candidates need a DAG and reach cyclic input
-// through strongly-connected-component condensation (ClosureOfCyclic,
-// SuccessorsOfCyclic).
+// Every algorithm answers every directed graph. SRCH, SEMI, WARREN, SCHMITZ
+// and BITM take cycles as they are; the paper's other candidates need a DAG
+// and answer a cyclic graph on its strongly-connected-component
+// condensation, built once with the database (paper Section 1).
 package tcstudy
 
 import (
-	"tcstudy/internal/bitset"
 	"tcstudy/internal/core"
 	"tcstudy/internal/graph"
 	"tcstudy/internal/graphgen"
@@ -113,8 +112,7 @@ type Graph struct {
 }
 
 // NewGraph builds a graph over nodes 1..n. Duplicate arcs are removed.
-// The graph may be cyclic; Run says which algorithms take it as it is, and
-// ClosureOfCyclic takes the others there.
+// The graph may be cyclic: every algorithm answers it (see Run).
 func NewGraph(n int, arcs []Arc) *Graph {
 	g := graph.New(n, arcs)
 	return &Graph{inner: g, arcs: g.Arcs()}
@@ -184,11 +182,11 @@ func (db *DB) Weighted() bool { return db.inner.Weighted() }
 
 // Run executes one query with one algorithm and returns the successor sets
 // along with the full metric record. Each run starts from a cold buffer
-// pool, as in the paper's experiments. On a cyclic graph SRCH, SEMI, WARREN,
-// SCHMITZ and BITM answer exactly (a node on a cycle or with a self-arc
-// reaches itself); the others need a DAG and are refused with an
-// *InvalidInputError from internal/core naming the alternatives (see
-// ClosureOfCyclic for the condensation route).
+// pool, as in the paper's experiments. On a cyclic graph every algorithm
+// answers exactly (a node on a cycle or with a self-arc reaches itself):
+// SRCH, SEMI, WARREN, SCHMITZ and BITM run on the graph as it is, and the
+// DAG-only algorithms run on its condensation, reporting that run's
+// metric record.
 func (db *DB) Run(alg Algorithm, q Query, cfg Config) (*Result, error) {
 	return core.Run(db.inner, alg, q, cfg)
 }
@@ -226,7 +224,7 @@ type Response = core.Response
 // database, one buffer pool per query; responses arrive in request order.
 // Each query's metric record is exactly what a solo run would report —
 // page I/O is attributed per pool, not per shared disk. On a cyclic graph
-// each request is accepted or refused on its own algorithm, as in Run.
+// each request takes its algorithm's route, as in Run.
 func (db *DB) RunConcurrent(reqs []Request) []Response {
 	return core.RunConcurrent(db.inner, reqs)
 }
@@ -255,7 +253,8 @@ type PathResult = core.PathResult
 // reachable node. The computation runs on the same paged framework as the
 // reachability algorithms, with the marking optimization necessarily
 // disabled (redundant arcs still matter for path aggregation). Path
-// aggregates need a DAG; a cyclic graph is refused as in Run.
+// aggregates need a DAG: on a cyclic graph, where a path count is
+// unbounded, Paths fails with an *InvalidInputError from internal/core.
 func (db *DB) Paths(agg PathAggregate, sources []int32, cfg Config) (*PathResult, error) {
 	return core.RunPaths(db.inner, agg, Query{Sources: sources}, cfg)
 }
@@ -279,7 +278,9 @@ func (db *DB) NewSession(cfg Config) (*Session, error) {
 }
 
 // Run executes one query within the session. A DAG-only algorithm on a
-// cyclic graph is refused as in DB.Run, at no cost to the session.
+// cyclic graph runs on the condensation, which has a store of its own:
+// that query runs cold, as in DB.Run, and leaves the session's pool as it
+// was.
 func (s *Session) Run(alg Algorithm, q Query) (*Result, error) {
 	return s.inner.Run(alg, q)
 }
@@ -345,9 +346,8 @@ type PlanEstimate = planner.Estimate
 // nodes (0 = full closure) by estimated page I/O, using cheap graph
 // statistics — the cost-model counterpart to the rule-based Advise. The
 // models are calibrated for ranking, not absolute prediction (the paper's
-// Section 7 explains why absolute I/O prediction is treacherous). The
-// rectangle model is defined on DAGs only: planning a cyclic graph fails
-// with the planner's graph.ErrCyclic.
+// Section 7 explains why absolute I/O prediction is treacherous). A cyclic
+// graph is planned on its condensation, where the DAG-only algorithms run.
 func (db *DB) Plan(numSources, bufferPages int) ([]PlanEstimate, error) {
 	if db.profile == nil {
 		p, err := planner.BuildProfile(db.g.inner, 16, 1)
@@ -357,81 +357,4 @@ func (db *DB) Plan(numSources, bufferPages int) ([]PlanEstimate, error) {
 		db.profile = &p
 	}
 	return planner.Estimates(*db.profile, numSources, bufferPages), nil
-}
-
-// CyclicClosure is the reachability result for a possibly-cyclic graph.
-type CyclicClosure struct {
-	// Successors[v] lists the nodes reachable from v (index 0 unused).
-	// A node inside a cycle reaches itself.
-	Successors [][]int32
-	// Components is the number of strongly connected components.
-	Components int
-	// Metrics records the closure computation over the condensation DAG.
-	Metrics Metrics
-}
-
-// ClosureOfCyclic computes reachability over an arbitrary directed graph by
-// condensing strongly connected components (the standard preprocessing the
-// paper's introduction cites) and running the chosen algorithm on the
-// acyclic condensation. It is SuccessorsOfCyclic over every node.
-func ClosureOfCyclic(g *Graph, alg Algorithm, cfg Config) (*CyclicClosure, error) {
-	cond := g.inner.Condense()
-	reach, met, err := successorsVia(cond, nil, alg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int32, g.N()+1)
-	for v, r := range reach {
-		out[v] = r
-	}
-	return &CyclicClosure{Successors: out, Components: cond.K(), Metrics: met}, nil
-}
-
-// SuccessorsOfCyclic answers a partial (selection) reachability query over
-// a possibly-cyclic graph: the condensation is computed, the chosen
-// algorithm runs a PTC over the component DAG from the sources'
-// components, and the answer is expanded back to original nodes. The
-// result maps each requested source (every node, when sources is empty) to
-// its reachable set, ascending; a node inside a cycle or with a self-arc
-// reaches itself.
-func SuccessorsOfCyclic(g *Graph, sources []int32, alg Algorithm, cfg Config) (map[int32][]int32, Metrics, error) {
-	return successorsVia(g.inner.Condense(), sources, alg, cfg)
-}
-
-func successorsVia(cond *graph.Condensation, sources []int32, alg Algorithm, cfg Config) (map[int32][]int32, Metrics, error) {
-	// No sources is the full closure of the condensation, expanded for
-	// every node; otherwise the sources' components are the PTC's sources
-	// (the engine drops the repeats of sources sharing a cycle).
-	var q Query
-	if len(sources) == 0 {
-		sources = make([]int32, len(cond.Component)-1)
-		for i := range sources {
-			sources[i] = int32(i + 1)
-		}
-	} else {
-		for _, s := range sources {
-			q.Sources = append(q.Sources, cond.Component[s])
-		}
-	}
-	res, err := core.Run(core.NewDatabase(cond.K(), cond.DAG.Arcs()), alg, q, cfg)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	out := make(map[int32][]int32, len(sources))
-	expanded := make(map[int32][]int32) // per component: its members share one expansion
-	reached := bitset.New(cond.K() + 1)
-	for _, s := range sources {
-		cs := cond.Component[s]
-		reach, done := expanded[cs]
-		if !done {
-			reached.Clear()
-			for _, c := range res.Successors[cs] {
-				reached.Add(c)
-			}
-			reach = cond.Expand(s, reached.Words())
-			expanded[cs] = reach
-		}
-		out[s] = reach
-	}
-	return out, res.Metrics, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"tcstudy/internal/core"
-	"tcstudy/internal/graph"
 )
 
 func sorted(vals []int32) []int32 {
@@ -88,65 +87,34 @@ func TestRunRejectsCyclicGraph(t *testing.T) {
 	if g.IsAcyclic() {
 		t.Fatal("cycle not detected")
 	}
-	// The refusal is the engine's own, through every façade entry that
-	// takes an algorithm; the strategies exact on cycles are not refused.
+	// Every algorithm answers the cycle through every façade entry that
+	// takes one, the DAG-only ones on the condensation: node 2 of a 3-cycle
+	// reaches all three nodes, itself included.
 	db := NewDB(g)
 	sess, err := db.NewSession(Config{BufferPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runErr := db.Run(BTC, Query{}, Config{BufferPages: 8})
-	_, sessErr := sess.Run(BTC, Query{})
+	q := Query{Sources: []int32{2}}
+	for _, alg := range Algorithms() {
+		for name, run := range map[string]func() (*Result, error){
+			"Run":         func() (*Result, error) { return db.Run(alg, q, Config{BufferPages: 8}) },
+			"Session.Run": func() (*Result, error) { return sess.Run(alg, q) },
+		} {
+			res, err := run()
+			if err != nil {
+				t.Fatalf("%s via %s on a cyclic graph: %v", alg, name, err)
+			}
+			if got := sorted(res.Successors[2]); !slices.Equal(got, []int32{1, 2, 3}) {
+				t.Errorf("%s via %s: node 2 of a 3-cycle reaches %v", alg, name, got)
+			}
+		}
+	}
+	// A path aggregate is the one refusal left: over a cycle it is unbounded.
 	_, pathErr := db.Paths(MinHops, nil, Config{BufferPages: 8})
-	for name, err := range map[string]error{"Run": runErr, "Session.Run": sessErr, "Paths": pathErr} {
-		var refused *core.InvalidInputError
-		if !errors.As(err, &refused) || !strings.Contains(refused.Reason, "schmitz") {
-			t.Errorf("%s on a cyclic graph: %v, want an InvalidInputError naming the alternatives", name, err)
-		}
-	}
-	for _, alg := range []Algorithm{SEMI, WARREN, SRCH} {
-		res, err := sess.Run(alg, Query{Sources: []int32{2}})
-		if err != nil {
-			t.Fatalf("%s on a cyclic graph: %v", alg, err)
-		}
-		if got := sorted(res.Successors[2]); len(got) != 3 {
-			t.Errorf("%s: node 2 of a 3-cycle reaches %v", alg, got)
-		}
-	}
-}
-
-func TestClosureOfCyclic(t *testing.T) {
-	// 1 <-> 2 -> 3, 3 -> 4 <-> 5.
-	g := NewGraph(5, []Arc{
-		{From: 1, To: 2}, {From: 2, To: 1}, {From: 2, To: 3},
-		{From: 3, To: 4}, {From: 4, To: 5}, {From: 5, To: 4},
-	})
-	cc, err := ClosureOfCyclic(g, BTC, Config{BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Components != 3 {
-		t.Fatalf("components = %d, want 3", cc.Components)
-	}
-	want := map[int32][]int32{
-		1: {1, 2, 3, 4, 5},
-		2: {1, 2, 3, 4, 5},
-		3: {4, 5},
-		4: {4, 5},
-		5: {4, 5},
-	}
-	for v, w := range want {
-		if got := cc.Successors[v]; !slices.Equal(got, w) {
-			t.Fatalf("successors of %d = %v, want %v", v, got, w)
-		}
-	}
-	// A self-arc is a cycle of one: 1 reaches itself, 2 does not.
-	loop, err := ClosureOfCyclic(NewGraph(2, []Arc{{From: 1, To: 1}, {From: 1, To: 2}}), BTC, Config{BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(loop.Successors[1], []int32{1, 2}) || len(loop.Successors[2]) != 0 {
-		t.Fatalf("1->1, 1->2: successors %v, want [1 2] and none", loop.Successors[1:])
+	var refused *core.InvalidInputError
+	if !errors.As(pathErr, &refused) || !strings.Contains(refused.Reason, "needs a DAG") {
+		t.Errorf("Paths on a cyclic graph: %v, want an InvalidInputError saying it needs a DAG", pathErr)
 	}
 }
 
@@ -267,64 +235,6 @@ func TestPredecessorsAgreeWithSuccessors(t *testing.T) {
 		if reaches != predSet[u] {
 			t.Fatalf("disagreement at u=%d: forward says %v, backward says %v",
 				u, reaches, predSet[u])
-		}
-	}
-}
-
-func TestSuccessorsOfCyclic(t *testing.T) {
-	// 1 <-> 2 -> 3 -> 4 <-> 5, 6 isolated.
-	g := NewGraph(6, []Arc{
-		{From: 1, To: 2}, {From: 2, To: 1}, {From: 2, To: 3},
-		{From: 3, To: 4}, {From: 4, To: 5}, {From: 5, To: 4},
-	})
-	out, m, err := SuccessorsOfCyclic(g, []int32{1, 2, 6}, BTC, Config{BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TotalIO() <= 0 {
-		t.Fatal("no I/O recorded")
-	}
-	for _, s := range []int32{1, 2} {
-		got := sorted(out[s])
-		want := []int32{1, 2, 3, 4, 5}
-		if len(got) != len(want) {
-			t.Fatalf("reach(%d) = %v", s, got)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("reach(%d) = %v", s, got)
-			}
-		}
-	}
-	if len(out[6]) != 0 {
-		t.Fatalf("isolated node reaches %v", out[6])
-	}
-}
-
-func TestSuccessorsOfCyclicMatchesFull(t *testing.T) {
-	g := NewGraph(7, []Arc{
-		{From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 1},
-		{From: 3, To: 4}, {From: 4, To: 5}, {From: 5, To: 6}, {From: 6, To: 4},
-		{From: 6, To: 7},
-	})
-	full, err := ClosureOfCyclic(g, BTC, Config{BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, _, err := SuccessorsOfCyclic(g, []int32{2, 5}, SRCH, Config{BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []int32{2, 5} {
-		a := sorted(full.Successors[s])
-		b := sorted(part[s])
-		if len(a) != len(b) {
-			t.Fatalf("node %d: partial %v vs full %v", s, b, a)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("node %d: partial %v vs full %v", s, b, a)
-			}
 		}
 	}
 }
@@ -497,16 +407,14 @@ func TestRunConcurrentFacade(t *testing.T) {
 	if len(resps[1].Result.Successors[5]) != len(resps[2].Result.Successors[5]) {
 		t.Fatal("concurrent algorithms disagree")
 	}
-	// On a cyclic DB each request stands on its own algorithm: BTC is
-	// refused by the engine's validation, SRCH beside it answers.
+	// On a cyclic DB each request takes its own algorithm's route: BTC runs
+	// on the condensation, SRCH beside it on the graph, and both answer.
 	cyc := NewDB(NewGraph(2, []Arc{{From: 1, To: 2}, {From: 2, To: 1}}))
 	cresps := cyc.RunConcurrent([]Request{reqs[0], {Alg: SRCH, Query: Query{Sources: []int32{1}}, Cfg: Config{BufferPages: 8}}})
-	var refused *core.InvalidInputError
-	if !errors.As(cresps[0].Err, &refused) {
-		t.Fatalf("BTC on a cyclic DB: %v, want an InvalidInputError", cresps[0].Err)
-	}
-	if cresps[1].Err != nil || len(cresps[1].Result.Successors[1]) != 2 {
-		t.Fatalf("SRCH on a 2-cycle: %+v", cresps[1])
+	for i, r := range cresps {
+		if r.Err != nil || !slices.Equal(sorted(r.Result.Successors[1]), []int32{1, 2}) {
+			t.Fatalf("request %d on a 2-cycle: %+v", i, r)
+		}
 	}
 }
 
@@ -550,11 +458,10 @@ func TestPlanFacade(t *testing.T) {
 		t.Fatalf("planned algorithm cost %d, default BTC %d",
 			res.Metrics.TotalIO(), resBTC.Metrics.TotalIO())
 	}
-	// Cyclic DBs refuse planning, with the planner's own error.
+	// A cyclic DB is planned on its condensation.
 	cyc := NewDB(NewGraph(2, []Arc{{From: 1, To: 2}, {From: 2, To: 1}}))
-	var cycle graph.ErrCyclic
-	if _, err := cyc.Plan(1, 10); !errors.As(err, &cycle) {
-		t.Fatalf("cyclic plan: %v, want graph.ErrCyclic", err)
+	if ests, err := cyc.Plan(1, 10); err != nil || len(ests) == 0 {
+		t.Fatalf("cyclic plan: %v, %v", ests, err)
 	}
 }
 
@@ -563,10 +470,7 @@ func TestSchmitzFacadeOnCyclicGraph(t *testing.T) {
 		{From: 1, To: 2}, {From: 2, To: 1}, {From: 2, To: 3}, {From: 3, To: 4},
 	})
 	db := NewDB(g)
-	// Other algorithms refuse the cycle; SCHMITZ handles it.
-	if _, err := db.Run(BTC, Query{}, Config{BufferPages: 8}); err == nil {
-		t.Fatal("BTC accepted a cyclic graph")
-	}
+	// SCHMITZ handles the cycle natively.
 	res, err := db.Run(SCHMITZ, Query{}, Config{BufferPages: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -581,13 +485,13 @@ func TestSchmitzFacadeOnCyclicGraph(t *testing.T) {
 			t.Fatalf("successors of 1 = %v, want %v", got, want)
 		}
 	}
-	// And it agrees with the condensation pipeline.
-	cc, err := ClosureOfCyclic(g, BTC, Config{BufferPages: 8})
+	// And it agrees with BTC, which runs on the condensation.
+	cc, err := db.Run(BTC, Query{}, Config{BufferPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := int32(1); x <= 4; x++ {
-		if len(cc.Successors[x]) != len(res.Successors[x]) {
+		if !slices.Equal(sorted(cc.Successors[x]), sorted(res.Successors[x])) {
 			t.Fatalf("schmitz and condensation disagree at node %d", x)
 		}
 	}
