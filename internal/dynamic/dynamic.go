@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"sync"
 	"time"
 
@@ -94,7 +95,7 @@ type Service struct {
 
 	mu      sync.RWMutex
 	n       int
-	adj     []map[int32]struct{} // authoritative adjacency, nodes 1..n
+	adj     [][]int32 // authoritative adjacency: out-lists of nodes 1..n
 	numArcs int
 	fp      uint64
 	seq     int64      // batches applied
@@ -108,6 +109,8 @@ type Service struct {
 	rebuilds   int64
 	mutations  int64
 	merges     int64
+
+	scratch sync.Pool // *bfsScratch, one per concurrent overlay search
 
 	kick chan struct{}
 	done chan struct{}
@@ -146,7 +149,7 @@ func New(n int, arcs []graph.Arc, idx *index.Index, opts Options) (*Service, err
 	s := &Service{
 		opts: opts,
 		n:    n,
-		adj:  make([]map[int32]struct{}, n+1),
+		adj:  make([][]int32, n+1),
 		fp:   opts.BaseFingerprint,
 		idx:  idx,
 		kick: make(chan struct{}, 1),
@@ -156,9 +159,12 @@ func New(n int, arcs []graph.Arc, idx *index.Index, opts Options) (*Service, err
 		if a.From < 1 || a.To < 1 || int(a.From) > n || int(a.To) > n {
 			return nil, fmt.Errorf("dynamic: base arc (%d,%d) outside 1..%d", a.From, a.To, n)
 		}
-		if s.addAdj(a.From, a.To) {
-			s.numArcs++
-		}
+		s.adj[a.From] = append(s.adj[a.From], a.To)
+	}
+	for u, out := range s.adj {
+		slices.Sort(out)
+		s.adj[u] = slices.Compact(out)
+		s.numArcs += len(s.adj[u])
 	}
 	if !opts.Manual {
 		s.wg.Add(1)
@@ -178,14 +184,26 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
+// addAdj adds u->v to the out-list of u and reports whether it was absent.
 func (s *Service) addAdj(u, v int32) bool {
-	if s.adj[u] == nil {
-		s.adj[u] = make(map[int32]struct{})
-	}
-	if _, ok := s.adj[u][v]; ok {
+	if slices.Contains(s.adj[u], v) {
 		return false
 	}
-	s.adj[u][v] = struct{}{}
+	s.adj[u] = append(s.adj[u], v)
+	return true
+}
+
+// delAdj removes u->v from the out-list of u (swap with the last entry;
+// the lists are unordered) and reports whether it was present.
+func (s *Service) delAdj(u, v int32) bool {
+	out := s.adj[u]
+	i := slices.Index(out, v)
+	if i < 0 {
+		return false
+	}
+	last := len(out) - 1
+	out[i] = out[last]
+	s.adj[u] = out[:last]
 	return true
 }
 
@@ -283,11 +301,10 @@ func (s *Service) applyOpLocked(o Op, res *Result) logOp {
 		return lo
 	}
 	// delete
-	if _, ok := s.adj[o.From][o.To]; !ok {
+	if !s.delAdj(o.From, o.To) {
 		res.Noops++
 		return lo
 	}
-	delete(s.adj[o.From], o.To)
 	lo.applied = true
 	s.numArcs--
 	s.fp ^= arcHash(o.From, o.To)
@@ -314,33 +331,55 @@ func (s *Service) applyOpLocked(o Op, res *Result) logOp {
 	return lo
 }
 
+// bfsScratch is one overlay search's working memory: seen[v] == epoch marks
+// v visited in the current search, so a search starts by bumping epoch
+// instead of clearing an n-sized array.
+type bfsScratch struct {
+	seen  []uint32
+	epoch uint32
+	queue []int32
+}
+
 // bfsLocked answers closure-semantics reachability (path length >= 1) on
 // the authoritative adjacency. It is the overlay read path while the index
 // is dirty and the delete classifier's certificate; both need the true
-// current graph, which only the adjacency holds.
+// current graph, which only the adjacency holds. It holds s.mu (read or
+// write); concurrent readers each take their own scratch from the pool.
 func (s *Service) bfsLocked(src, dst int32) bool {
-	seen := make([]bool, s.n+1)
-	var queue []int32
-	for v := range s.adj[src] {
-		if !seen[v] {
-			seen[v] = true
-			queue = append(queue, v)
-		}
+	sc, _ := s.scratch.Get().(*bfsScratch)
+	if sc == nil {
+		sc = &bfsScratch{seen: make([]uint32, s.n+1)}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v == dst {
-			return true
-		}
-		for w := range s.adj[v] {
-			if !seen[w] {
-				seen[w] = true
+	found := sc.search(s.adj, src, dst)
+	s.scratch.Put(sc)
+	return found
+}
+
+// search runs one BFS from src's out-neighbours and stops as soon as it
+// meets dst.
+func (sc *bfsScratch) search(adj [][]int32, src, dst int32) bool {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale marks could collide with the new epoch
+		clear(sc.seen)
+		sc.epoch = 1
+	}
+	seen, ep := sc.seen, sc.epoch
+	queue := append(sc.queue[:0], src)
+	found := false
+	for head := 0; head < len(queue) && !found; head++ {
+		for _, w := range adj[queue[head]] {
+			if w == dst {
+				found = true
+				break
+			}
+			if seen[w] != ep {
+				seen[w] = ep
 				queue = append(queue, w)
 			}
 		}
 	}
-	return seen[dst]
+	sc.queue = queue[:0]
+	return found
 }
 
 // Reach answers src -> dst with read-your-writes semantics: observed is
@@ -379,17 +418,28 @@ func (s *Service) Index() *index.Index {
 	return s.idx
 }
 
-// Arcs snapshots the authoritative adjacency as a sorted arc list.
+// Arcs snapshots the authoritative adjacency as an arc list sorted by
+// (From, To).
 func (s *Service) Arcs() []graph.Arc {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.arcsLocked()
+	arcs := s.arcsLocked()
+	s.mu.RUnlock()
+	slices.SortFunc(arcs, func(a, b graph.Arc) int {
+		if a.From != b.From {
+			return int(a.From - b.From)
+		}
+		return int(a.To - b.To)
+	})
+	return arcs
 }
 
+// arcsLocked copies the adjacency in node order, each out-list as it lies
+// (unsorted): the rebuild snapshot takes it under the read lock and the
+// index build does not care about order.
 func (s *Service) arcsLocked() []graph.Arc {
 	arcs := make([]graph.Arc, 0, s.numArcs)
 	for u := int32(1); u <= int32(s.n); u++ {
-		for v := range s.adj[u] {
+		for _, v := range s.adj[u] {
 			arcs = append(arcs, graph.Arc{From: u, To: v})
 		}
 	}
